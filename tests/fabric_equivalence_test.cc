@@ -1,9 +1,10 @@
 // Dense-vs-sparse fabric equivalence at overlay scale: for 5 seeds at
-// N in {64, 512}, a full engine bring-up plus maintenance epochs must end
-// BIT-IDENTICAL across backends — live latencies, Vivaldi coordinates,
-// scalar penalties, and every placed circuit vertex. This is the contract
-// that lets the sparse backend slide in behind the FabricBackend seam
-// without invalidating a single golden or determinism pin.
+// N in {64, 512}, a full engine bring-up, jittered epochs, a partition with
+// a crash, repair and rejoin inside it, and the heal must produce bitwise
+// identical digests of every live latency pair, every Vivaldi coordinate
+// and every placed circuit on both backends — and the dense run must match
+// the committed golden `tests/golden/fabric_lifecycle.golden`, so the pin
+// outlives either backend.
 //
 // The binary also audits the sparse backend's memory claim through a
 // counting operator new: while the sparse overlay is built and driven, no
@@ -13,13 +14,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "engine/stream_engine.h"
 #include "harness/fixtures.h"
+#include "harness/golden.h"
+#include "net/churn.h"
 #include "net/generators.h"
 #include "net/sparse_fabric.h"
 
@@ -70,6 +77,9 @@ BackendRun BuildRun(size_t target, uint64_t seed,
   eo.sbon.seed = seed;
   eo.sbon.latency_jitter_sigma = 0.1;
   eo.sbon.fabric_mode = mode;
+  // Whole-row cache: the digests read every pair, which would thrash the
+  // default 32-row LRU into one Dijkstra per read.
+  eo.sbon.sparse_options.row_cache_rows = target * 2;
   eo.config = TestOptimizerConfig();
   BackendRun run;
   run.eng = engine::StreamEngine::Create(std::move(eo)).value();
@@ -85,114 +95,176 @@ BackendRun BuildRun(size_t target, uint64_t seed,
   return run;
 }
 
-// Every upper-triangle live pair plus a strided sample of mirror reads
-// (the full mirror sweep would thrash the sparse row cache for no extra
-// coverage: mirrors resolve through the same source row by construction).
-void ExpectLiveLatenciesEqual(const overlay::Sbon& dense,
-                              const overlay::Sbon& sparse,
-                              const char* where) {
-  const size_t n = dense.topology().NumNodes();
-  ASSERT_EQ(n, sparse.topology().NumNodes());
+// Bitwise digests (FNV-1a over the raw IEEE-754 bits, so one differing ulp
+// anywhere changes the line) of the three things the fabric feeds: every
+// ordered live pair, diagonal and mirrors included; every Vivaldi vector
+// coordinate plus scalar penalty; every placed circuit vertex's host.
+class Digest {
+ public:
+  void Add(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xff;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void Add(double x) {
+    uint64_t bits;
+    std::memcpy(&bits, &x, sizeof(bits));
+    Add(bits);
+  }
+  std::string Hex() const {
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h_));
+    return buf;
+  }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::string LiveDigest(const overlay::Sbon& sbon) {
+  Digest d;
+  const size_t n = sbon.topology().NumNodes();
   for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = a; b < n; ++b) {
-      ASSERT_EQ(dense.latency().Latency(a, b), sparse.latency().Latency(a, b))
-          << where << ": live (" << a << "," << b << ")";
-    }
-    const NodeId mirror_b = static_cast<NodeId>((a * 31 + 7) % n);
-    ASSERT_EQ(dense.latency().Latency(a, mirror_b),
-              sparse.latency().Latency(a, mirror_b))
-        << where << ": mirror (" << a << "," << mirror_b << ")";
+    for (NodeId b = 0; b < n; ++b) d.Add(sbon.latency().Latency(a, b));
   }
+  return d.Hex();
 }
 
-void ExpectCoordsEqual(const overlay::Sbon& dense,
-                       const overlay::Sbon& sparse, const char* where) {
-  const auto& ds = dense.cost_space();
-  const auto& ss = sparse.cost_space();
-  ASSERT_EQ(ds.NumNodes(), ss.NumNodes());
-  for (NodeId n = 0; n < ds.NumNodes(); ++n) {
-    const Vec& dv = ds.VectorCoord(n);
-    const Vec& sv = ss.VectorCoord(n);
-    ASSERT_EQ(dv.dims(), sv.dims());
-    for (size_t d = 0; d < dv.dims(); ++d) {
-      ASSERT_EQ(dv[d], sv[d]) << where << ": coord " << n << " dim " << d;
-    }
-    ASSERT_EQ(ds.ScalarPenalty(n), ss.ScalarPenalty(n))
-        << where << ": scalar " << n;
+std::string CoordDigest(const overlay::Sbon& sbon) {
+  Digest d;
+  const auto& space = sbon.cost_space();
+  for (NodeId n = 0; n < space.NumNodes(); ++n) {
+    const Vec& v = space.VectorCoord(n);
+    for (size_t k = 0; k < v.dims(); ++k) d.Add(v[k]);
+    d.Add(space.ScalarPenalty(n));
   }
+  return d.Hex();
 }
 
-void ExpectPlacementsEqual(const overlay::Sbon& dense,
-                           const overlay::Sbon& sparse, const char* where) {
-  const auto& dc = dense.circuits();
-  const auto& sc = sparse.circuits();
-  ASSERT_EQ(dc.size(), sc.size()) << where;
-  auto it_d = dc.begin();
-  auto it_s = sc.begin();
-  for (; it_d != dc.end(); ++it_d, ++it_s) {
-    ASSERT_EQ(it_d->first, it_s->first) << where << ": circuit ids";
-    const auto& cd = it_d->second;
-    const auto& cs = it_s->second;
-    ASSERT_EQ(cd.NumVertices(), cs.NumVertices());
-    for (size_t v = 0; v < cd.NumVertices(); ++v) {
-      ASSERT_EQ(cd.vertex(static_cast<int>(v)).host,
-                cs.vertex(static_cast<int>(v)).host)
-          << where << ": circuit " << it_d->first << " vertex " << v;
+std::string PlacementDigest(const overlay::Sbon& sbon) {
+  Digest d;
+  for (const auto& [id, circuit] : sbon.circuits()) {
+    d.Add(static_cast<uint64_t>(id));
+    for (size_t v = 0; v < circuit.NumVertices(); ++v) {
+      d.Add(static_cast<uint64_t>(circuit.vertex(static_cast<int>(v)).host));
     }
   }
+  return d.Hex();
+}
+
+void Record(std::string* out, const overlay::Sbon& sbon, size_t target,
+            uint64_t seed, const char* stage, bool coords, bool placements) {
+  *out += "N~" + std::to_string(target) + " seed=" + std::to_string(seed) +
+          " " + stage + " live=" + LiveDigest(sbon);
+  if (coords) *out += " coords=" + CoordDigest(sbon);
+  if (placements) {
+    *out += " circuits=" + std::to_string(sbon.circuits().size()) +
+            " hosts=" + PlacementDigest(sbon);
+  }
+  *out += "\n";
+}
+
+// Drives one overlay through every fabric state — bring-up, three jittered
+// epochs, then a scripted churn schedule run through the engine's epoch
+// pipeline: a partition starts, a node inside the run crashes (its orphans
+// are repaired against the partitioned fabric), rejoins, and the partition
+// heals — appending one digest line per stage.
+void RunLifecycle(BackendRun* run, size_t target, uint64_t seed,
+                  std::string* out) {
+  const overlay::Sbon& sbon = run->eng->sbon();
+  Record(out, sbon, target, seed, "bring-up", true, true);
+
+  engine::EpochOptions epoch;
+  epoch.dt = 1.0;
+  epoch.tick_network = true;
+  epoch.vivaldi_samples = 1;
+  epoch.refresh_index = true;
+  epoch.refresh_epsilon = 1.0;
+  epoch.threads = 1;
+  for (int e = 1; e <= 3; ++e) {
+    ASSERT_TRUE(run->eng->AdvanceEpoch(epoch).ok());
+    const std::string stage = "tick" + std::to_string(e);
+    Record(out, sbon, target, seed, stage.c_str(), true, e == 3);
+  }
+
+  // The victim hosts an unpinned operator of the first circuit, so the
+  // crash orphans something; the middle overlay node if nothing qualifies.
+  const std::vector<NodeId>& nodes = sbon.overlay_nodes();
+  NodeId victim = nodes[nodes.size() / 2];
+  if (!sbon.circuits().empty()) {
+    const overlay::Circuit& first = sbon.circuits().begin()->second;
+    for (size_t v = 0; v < first.NumVertices(); ++v) {
+      const auto& vertex = first.vertex(static_cast<int>(v));
+      if (!vertex.pinned) {
+        victim = vertex.host;
+        break;
+      }
+    }
+  }
+  net::ChurnModel churn(nodes, net::ChurnModel::Params());
+  net::ChurnEvent ev;
+  ev.type = net::ChurnEventType::kPartitionStart;
+  ev.group.assign(nodes.begin(), nodes.begin() + nodes.size() / 4);
+  ev.severity = 4.0;
+  churn.ScheduleAt(0, ev);
+  ev = net::ChurnEvent();
+  ev.node = victim;
+  ev.type = net::ChurnEventType::kCrash;
+  churn.ScheduleAt(1, ev);
+  ev.type = net::ChurnEventType::kRejoin;
+  churn.ScheduleAt(2, ev);
+  ev = net::ChurnEvent();
+  ev.type = net::ChurnEventType::kPartitionHeal;
+  churn.ScheduleAt(3, ev);
+  epoch.churn = &churn;
+
+  const char* stages[] = {"mid-partition", "crashed", "rejoined",
+                          "end-partition"};
+  for (int e = 0; e < 4; ++e) {
+    ASSERT_TRUE(run->eng->AdvanceEpoch(epoch).ok());
+    Record(out, sbon, target, seed, stages[e], true, e % 2 == 1);
+  }
+  ASSERT_FALSE(sbon.partition_active());
+  const engine::RepairStats& repair = run->eng->repair_stats();
+  *out += "N~" + std::to_string(target) + " seed=" + std::to_string(seed) +
+          " victim=" + std::to_string(victim) +
+          " crashes=" + std::to_string(repair.crashes) +
+          " orphaned=" + std::to_string(repair.circuits_orphaned) +
+          " repaired=" + std::to_string(repair.queries_repaired) +
+          " dropped=" + std::to_string(repair.queries_dropped) + "\n";
 }
 
 TEST(FabricEquivalenceTest, BitIdenticalAcrossBackendsSeedsAndSizes) {
+  std::string dense_out;
+  std::string sparse_out;
   for (const size_t target : {size_t{64}, size_t{512}}) {
     for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
       // Sparse first, under the allocation watermark: bring-up, catalog,
-      // and placement of the sparse overlay must never touch an O(N^2)
-      // buffer.
+      // placement and the whole lifecycle of the sparse overlay must never
+      // touch an O(N^2) buffer.
       g_max_alloc_size = 0;
       BackendRun sparse =
           BuildRun(target, seed, overlay::Sbon::FabricMode::kSparse);
-      const size_t sparse_build_max = g_max_alloc_size;
-      BackendRun dense =
-          BuildRun(target, seed, overlay::Sbon::FabricMode::kDense);
-      const overlay::Sbon& ds = dense.eng->sbon();
-      const overlay::Sbon& ss = sparse.eng->sbon();
-      ASSERT_STREQ(ds.fabric().name(), "dense");
-      ASSERT_STREQ(ss.fabric().name(), "sparse");
-      ASSERT_EQ(dense.handles.size(), sparse.handles.size());
-
-      ExpectLiveLatenciesEqual(ds, ss, "post-bring-up");
-      ExpectCoordsEqual(ds, ss, "post-bring-up");
-      ExpectPlacementsEqual(ds, ss, "post-bring-up");
-
-      engine::EpochOptions epoch;
-      epoch.dt = 1.0;
-      epoch.tick_network = true;
-      epoch.vivaldi_samples = 1;
-      epoch.refresh_index = true;
-      epoch.refresh_epsilon = 1.0;
-      epoch.threads = 1;
-      g_max_alloc_size = 0;
-      for (int e = 0; e < 3; ++e) {
-        dense.eng->AdvanceEpoch(epoch);
-        sparse.eng->AdvanceEpoch(epoch);
-        ExpectLiveLatenciesEqual(ds, ss, "epoch");
-        ExpectCoordsEqual(ds, ss, "epoch");
-      }
-      ExpectPlacementsEqual(ds, ss, "post-epochs");
-      const size_t epochs_max = g_max_alloc_size;
-
-      // The flat-memory claim, asserted where quadratic buffers are
-      // unambiguously larger than any legitimate O(N) array.
-      const size_t n = ss.topology().NumNodes();
+      ASSERT_STREQ(sparse.eng->sbon().fabric().name(), "sparse");
+      RunLifecycle(&sparse, target, seed, &sparse_out);
+      const size_t sparse_max = g_max_alloc_size;
+      const size_t n = sparse.eng->sbon().topology().NumNodes();
       if (n >= 256) {
         const size_t triangle_bytes = n * (n + 1) / 2 * sizeof(double);
-        EXPECT_LT(sparse_build_max, triangle_bytes)
-            << "sparse bring-up allocated a dense-sized buffer at N=" << n;
-        EXPECT_LT(epochs_max, triangle_bytes)
-            << "epoch loop allocated a dense-sized buffer at N=" << n;
+        EXPECT_LT(sparse_max, triangle_bytes)
+            << "sparse overlay allocated a dense-sized buffer at N=" << n;
       }
+
+      BackendRun dense =
+          BuildRun(target, seed, overlay::Sbon::FabricMode::kDense);
+      ASSERT_STREQ(dense.eng->sbon().fabric().name(), "dense");
+      RunLifecycle(&dense, target, seed, &dense_out);
     }
   }
+  EXPECT_EQ("", CheckGolden("fabric_lifecycle", dense_out));
+  EXPECT_EQ(dense_out, sparse_out);
 }
 
 // The pinned dead-endpoint semantic, identical across backends: while an
