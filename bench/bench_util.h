@@ -47,21 +47,6 @@ inline std::string& JsonFlag() {
   return path;
 }
 
-/// Latency-substrate backend override (`--fabric=auto|dense|sparse`).
-/// "auto" keeps Sbon::Options defaults: dense up to the sparse auto
-/// threshold, the generative sparse backend above it.
-inline std::string& FabricFlag() {
-  static std::string name = "auto";
-  return name;
-}
-
-/// The Sbon fabric mode the --fabric= flag selects.
-inline overlay::Sbon::FabricMode FabricMode() {
-  if (FabricFlag() == "dense") return overlay::Sbon::FabricMode::kDense;
-  if (FabricFlag() == "sparse") return overlay::Sbon::FabricMode::kSparse;
-  return overlay::Sbon::FabricMode::kAuto;
-}
-
 /// Coordinate/ring maintenance execution (`--exec=oracle|message`):
 /// "oracle" keeps the engine's global-knowledge maintenance stages,
 /// "message" re-expresses them as explicit control traffic through
@@ -107,15 +92,6 @@ inline void ParseBenchArgs(int argc, char** argv) {
       PlacerFlag() = std::string(arg.substr(std::strlen("--placer=")));
     } else if (arg.rfind("--json=", 0) == 0) {
       JsonFlag() = std::string(arg.substr(std::strlen("--json=")));
-    } else if (arg.rfind("--fabric=", 0) == 0) {
-      FabricFlag() = std::string(arg.substr(std::strlen("--fabric=")));
-      if (FabricFlag() != "auto" && FabricFlag() != "dense" &&
-          FabricFlag() != "sparse") {
-        std::fprintf(stderr,
-                     "unknown fabric '%s'; expected auto, dense or sparse\n",
-                     FabricFlag().c_str());
-        std::exit(2);
-      }
     } else if (arg.rfind("--exec=", 0) == 0) {
       ExecFlag() = std::string(arg.substr(std::strlen("--exec=")));
       if (ExecFlag() != "oracle" && ExecFlag() != "message") {
@@ -252,9 +228,6 @@ inline std::unique_ptr<overlay::Sbon> MakeTransitStubSbon(
     size_t target_nodes, uint64_t seed,
     overlay::Sbon::Options opts = overlay::Sbon::Options()) {
   opts.seed = seed;
-  // "auto" defers to the caller's (or Sbon's) default so harnesses that pin
-  // a mode programmatically are not clobbered by the flag's default value.
-  if (FabricFlag() != "auto") opts.fabric_mode = FabricMode();
   auto s = overlay::Sbon::Create(MakeTransitStubTopology(target_nodes, seed),
                                  opts);
   if (!s.ok()) {
@@ -274,7 +247,6 @@ inline std::unique_ptr<engine::StreamEngine> MakeTransitStubEngine(
     engine::EngineOptions opts = engine::EngineOptions()) {
   opts.topology = MakeTransitStubTopology(target_nodes, seed);
   opts.sbon.seed = seed;
-  if (FabricFlag() != "auto") opts.sbon.fabric_mode = FabricMode();
   opts.optimizer = OptimizerFlag();
   opts.placer = PlacerFlag();
   auto e = engine::StreamEngine::Create(std::move(opts));

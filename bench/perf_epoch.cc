@@ -17,8 +17,7 @@
 // orphaned queries under their original handles), --threads=T (worker
 // threads for the epoch pipeline's parallel stages; T=0 defers to the
 // SBON_EPOCH_THREADS environment variable exactly like the engine API;
-// results are bit-identical at any T), --fabric=auto|dense|sparse (latency
-// substrate backend; see README "Architecture"), --exec=oracle|message
+// results are bit-identical at any T), --exec=oracle|message
 // (coordinate/ring maintenance execution for the engine-loop sections; see
 // README "Execution modes"), --faults=LOSS,DUP[,JITTER_MS] (fault rates of
 // the chaos section's injection plan; defaults 0.10,0.05,0), --kernels
@@ -36,15 +35,16 @@
 // a time-sliced run produces; the CI release-perf lane regenerates the
 // JSON on multi-core runners.
 //
-// The `sparse` section measures the generative sparse fabric backend at two
-// sizes (N/5 and N): overlay bring-up, a TickNetwork-only epoch (O(1) on
-// this backend), a full maintenance epoch (tick + load + 1 Vivaldi sample
-// per node + dirty refresh), and the largest single heap allocation, which
-// must stay far below an N x N matrix — that flat-memory guarantee is the
-// whole point of the backend. Above 4096 nodes the engine-loop sections are
-// skipped (they exist to track the dense-scale baseline) and the binary
-// runs the sparse scaling section only, which is what lets
-// `--fabric=sparse --nodes=100000 --smoke` complete in minutes.
+// The `scaling` section measures the latency fabric at two sizes (N/5 and
+// N): overlay bring-up, a TickNetwork-only epoch (an O(1) seed draw), a
+// full maintenance epoch (tick + load + 1 Vivaldi sample per node + dirty
+// refresh), and the largest single heap allocation. Above
+// net::kMaterializeMaxNodes the fabric's base is the landmark sketch and
+// that allocation must stay far below an N x N matrix — the flat-memory
+// guarantee that lets the overlay reach 100k+ nodes. Above that size the
+// engine-loop sections are skipped (they track the N=512 baseline) and the
+// binary runs the scaling section only, which is what lets
+// `--nodes=100000 --smoke` complete in minutes.
 //
 // The `decentralized` section always runs on a pinned small workload
 // (independent of --nodes): a message-mode engine with a scripted crash
@@ -82,13 +82,14 @@
 #include "msg/message.h"
 #include "net/churn.h"
 #include "net/shortest_path.h"
-#include "net/sparse_fabric.h"
+#include "net/fabric.h"
 #include "query/workload.h"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter: every operator new bumps it, so a delta across
 // a code region counts that region's heap allocations exactly. The max-size
-// watermark catches any O(n^2) buffer the sparse sections must never make.
+// watermark catches any O(n^2) buffer the sketch-base scaling points must
+// never make.
 namespace {
 uint64_t g_alloc_count = 0;  // also registered with KernelStats, so the
                              // hot-kernel timers attribute their alloc share
@@ -132,7 +133,7 @@ struct EpochLoopResult {
   double ns_per_submit = 0.0;  // initial submission, per query
   double allocs_per_epoch = 0.0;
   size_t queries_running = 0;
-  overlay::IndexRefreshStats refresh;  // cumulative over the loop
+  coords::IndexRefreshStats refresh;   // cumulative over the loop
   engine::RepairStats repair;          // cumulative (churn_rate > 0 only)
   KernelStatsSnapshot kernels;         // hot-kernel delta across the loop
   size_t epochs = 0;                   // divisor for per-epoch attribution
@@ -155,12 +156,14 @@ EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
 
   query::WorkloadParams wp;
   wp.num_streams = 48;
-  eng->SetCatalog(query::RandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng()));
+  eng->SetCatalog(
+      query::MakeRandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng()).value());
   std::vector<query::QuerySpec> specs;
   specs.reserve(queries);
   for (size_t q = 0; q < queries; ++q) {
-    specs.push_back(query::RandomQuery(wp, eng->catalog(),
-                                       sbon.overlay_nodes(), &sbon.rng()));
+    specs.push_back(query::MakeRandomQuery(wp, eng->catalog(),
+                                           sbon.overlay_nodes(), &sbon.rng())
+                        .value());
   }
 
   EpochLoopResult out;
@@ -195,7 +198,7 @@ EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
   if (churn_rate > 0.0) epoch.churn = &churn_model;
   engine::ReoptPolicy local_reopt;  // defaults: kLocal
 
-  const overlay::IndexRefreshStats before = sbon.index_refresh_stats();
+  const coords::IndexRefreshStats before = sbon.index_refresh_stats();
   const KernelStatsSnapshot kernels_before = KernelStats::Instance().Snapshot();
   const uint64_t allocs_before = g_alloc_count;
   const Clock::time_point loop_start = Clock::now();
@@ -221,7 +224,7 @@ EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
       static_cast<double>(epochs);
   out.kernels = KernelStats::Instance().Snapshot().Since(kernels_before);
   out.epochs = epochs;
-  const overlay::IndexRefreshStats after = sbon.index_refresh_stats();
+  const coords::IndexRefreshStats after = sbon.index_refresh_stats();
   out.refresh.refreshes = after.refreshes - before.refreshes;
   out.refresh.republished = after.republished - before.republished;
   out.refresh.skipped = after.skipped - before.skipped;
@@ -241,8 +244,6 @@ struct PipelineRunResult {
 // latency view (full coverage up to ~64k pairs; the same deterministic
 // stride either side of a comparison, so runs that are bit-identical hash
 // identically and a single differing ulp in a sampled pair does not).
-// Virtual per-pair reads instead of raw matrix access: works on any fabric
-// backend, dense or sparse.
 uint64_t StateFingerprint(const overlay::Sbon& sbon) {
   uint64_t h = 1469598103934665603ULL;
   auto mix = [&h](double v) {
@@ -288,10 +289,12 @@ PipelineRunResult RunPipelineOnly(size_t nodes, size_t queries,
 
   query::WorkloadParams wp;
   wp.num_streams = 48;
-  eng->SetCatalog(query::RandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng()));
+  eng->SetCatalog(
+      query::MakeRandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng()).value());
   for (size_t q = 0; q < queries; ++q) {
-    (void)eng->Submit(query::RandomQuery(wp, eng->catalog(),
-                                         sbon.overlay_nodes(), &sbon.rng()));
+    (void)eng->Submit(query::MakeRandomQuery(wp, eng->catalog(),
+                                             sbon.overlay_nodes(), &sbon.rng())
+                          .value());
   }
 
   engine::EpochOptions epoch;
@@ -367,12 +370,14 @@ MessageModeResult RunMessageSection(
 
   query::WorkloadParams wp;
   wp.num_streams = 48;
-  eng->SetCatalog(query::RandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng()));
+  eng->SetCatalog(
+      query::MakeRandomCatalog(wp, sbon.overlay_nodes(), &sbon.rng()).value());
   std::vector<query::QuerySpec> specs;
   std::vector<engine::QueryHandle> handles;
   for (size_t q = 0; q < queries; ++q) {
-    specs.push_back(query::RandomQuery(wp, eng->catalog(),
-                                       sbon.overlay_nodes(), &sbon.rng()));
+    specs.push_back(query::MakeRandomQuery(wp, eng->catalog(),
+                                           sbon.overlay_nodes(), &sbon.rng())
+                        .value());
     auto h = eng->Submit(specs.back());
     if (h.ok()) handles.push_back(*h);
   }
@@ -460,25 +465,23 @@ MessageModeResult RunMessageSection(
   return out;
 }
 
-// One measured size of the sparse-backend scaling section: a query-free
-// overlay (the substrates are what scale; the engine loop is the dense-
-// scale benchmark above) driven through tick-only and full maintenance
-// epochs by direct substrate calls.
-struct SparseScalePoint {
+// One measured size of the fabric scaling section: a query-free overlay
+// (the substrates are what scale; the engine loop is the N=512 benchmark
+// above) driven through tick-only and full maintenance epochs by direct
+// substrate calls.
+struct ScalePoint {
   size_t nodes = 0;           // actual node count of the built topology
   double bringup_ms = 0.0;    // Sbon::Create (fabric + Vivaldi + index)
-  double tick_ns = 0.0;       // TickNetwork-only epoch (O(1) on sparse)
+  double tick_ns = 0.0;       // TickNetwork-only epoch (an O(1) seed draw)
   double maint_ns = 0.0;      // tick + load + 1 Vivaldi sample + refresh
   size_t max_alloc = 0;       // largest single heap allocation in the run
-  const char* base_mode = ""; // "exact" / "sketch"
+  bool sketch = false;        // base store: landmark sketch (else matrix)
   size_t landmarks = 0;
-  size_t row_builds = 0;      // on-demand Dijkstra rows computed
   double neighbor_hit_rate = 0.0;
 };
 
-SparseScalePoint RunSparsePoint(size_t target_nodes, uint64_t seed,
-                                size_t epochs) {
-  // The topology build is shared scaffolding, not backend cost; allocate it
+ScalePoint RunScalePoint(size_t target_nodes, uint64_t seed, size_t epochs) {
+  // The topology build is shared scaffolding, not fabric cost; allocate it
   // before the watermark reset so only overlay behavior is audited.
   net::Topology topo = bench::MakeTransitStubTopology(target_nodes, seed);
   g_max_alloc_size = 0;
@@ -486,16 +489,13 @@ SparseScalePoint RunSparsePoint(size_t target_nodes, uint64_t seed,
   overlay::Sbon::Options opts;
   opts.seed = seed;
   opts.latency_jitter_sigma = 0.1;
-  // Forced sparse regardless of --fabric: this section measures the sparse
-  // backend by definition (the flag selects the engine sections' substrate).
-  opts.fabric_mode = overlay::Sbon::FabricMode::kSparse;
-  SparseScalePoint out;
+  ScalePoint out;
   out.nodes = topo.NumNodes();
 
   const Clock::time_point create_start = Clock::now();
   auto s = overlay::Sbon::Create(std::move(topo), opts);
   if (!s.ok()) {
-    std::fprintf(stderr, "sparse sbon creation failed: %s\n",
+    std::fprintf(stderr, "scaling sbon creation failed: %s\n",
                  s.status().ToString().c_str());
     std::abort();
   }
@@ -516,19 +516,14 @@ SparseScalePoint RunSparsePoint(size_t target_nodes, uint64_t seed,
   out.maint_ns = NsSince(maint_start) / static_cast<double>(epochs);
   out.max_alloc = g_max_alloc_size;
 
-  const auto* fabric =
-      dynamic_cast<const net::SparseFabric*>(&sbon.fabric());
-  if (fabric != nullptr) {
-    out.base_mode = fabric->exact_base() ? "exact" : "sketch";
-    out.landmarks = fabric->num_landmarks();
-    const auto& stats = fabric->cache_stats();
-    out.row_builds = stats.row_builds;
-    out.neighbor_hit_rate =
-        stats.base_reads > 0
-            ? static_cast<double>(stats.neighbor_hits) /
-                  static_cast<double>(stats.base_reads)
-            : 0.0;
-  }
+  const net::NetworkFabric& fabric = sbon.fabric();
+  out.sketch = !fabric.materialized();
+  out.landmarks = fabric.num_landmarks();
+  const auto& stats = fabric.cache_stats();
+  out.neighbor_hit_rate =
+      stats.base_reads > 0 ? static_cast<double>(stats.neighbor_hits) /
+                                 static_cast<double>(stats.base_reads)
+                           : 0.0;
   return out;
 }
 
@@ -860,26 +855,16 @@ int main(int argc, char** argv) {
   // env path); any positive value pins the pipeline's worker count.
   const size_t threads = sbon::bench::FlagOr(argc, argv, "threads", 0);
 
-  const bool dense_requested = sbon::bench::FabricFlag() == "dense";
-  if (dense_requested && nodes > 20000) {
-    std::fprintf(stderr,
-                 "--fabric=dense above 20000 nodes would materialize two "
-                 "N^2 latency matrices (%zu GB); use --fabric=sparse\n",
-                 2 * nodes * nodes * sizeof(double) >> 30);
-    return 2;
-  }
-  // The engine-loop sections track the dense-scale baseline; above the
-  // sparse auto threshold they would spend minutes measuring a regime the
-  // dense backend cannot reach anyway, so the binary runs the sparse
-  // scaling section only.
-  const bool scaling_only = nodes > 4096 && !dense_requested;
+  // The engine-loop sections track the N=512 baseline; above the
+  // materialized-base limit they would spend minutes per run, so the binary
+  // runs the fabric scaling section only.
+  const bool scaling_only = nodes > sbon::net::kMaterializeMaxNodes;
 
   const sbon::engine::ExecMode exec = sbon::bench::ExecMode();
   std::printf("perf_epoch: N=%zu nodes, Q=%zu queries, E=%zu epochs, "
-              "T=%zu threads%s, fabric=%s, exec=%s\n",
+              "T=%zu threads%s, exec=%s\n",
               nodes, queries, epochs, threads,
               threads == 0 ? " (0: SBON_EPOCH_THREADS)" : "",
-              sbon::bench::FabricFlag().c_str(),
               sbon::bench::ExecFlag().c_str());
 
   sbon::EpochLoopResult primary, eps0, churned;
@@ -1154,64 +1139,65 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  sbon::bench::Section("Sparse fabric scaling (generative substrate)");
-  const size_t sparse_epochs = smoke ? 4 : 8;
-  const size_t small_target = std::max<size_t>(100, nodes / 5);
-  const auto sp_small = sbon::RunSparsePoint(small_target, 42, sparse_epochs);
+  sbon::bench::Section("Fabric scaling");
+  const size_t scale_epochs = smoke ? 4 : 8;
+  // A scaling-only sweep keeps both points on the sketch base (with margin
+  // over the generator's approximate node count), so the exponent below
+  // compares one regime.
+  const size_t small_target =
+      scaling_only ? std::max(nodes / 5, sbon::net::kMaterializeMaxNodes * 5 / 4)
+                   : std::max<size_t>(100, nodes / 5);
+  const auto sp_small = sbon::RunScalePoint(small_target, 42, scale_epochs);
   const auto sp_full = nodes > small_target
-                           ? sbon::RunSparsePoint(nodes, 42, sparse_epochs)
+                           ? sbon::RunScalePoint(nodes, 42, scale_epochs)
                            : sp_small;
   for (const auto* p : {&sp_small, &sp_full}) {
     std::printf(
         "N=%-7zu  bringup %8.1f ms  tick %10.0f ns  maint %12.0f ns\n"
-        "           base=%s landmarks=%zu row_builds=%zu nbr_hit=%.0f%% "
-        "max_alloc=%zu B\n",
-        p->nodes, p->bringup_ms, p->tick_ns, p->maint_ns, p->base_mode,
-        p->landmarks, p->row_builds, 100.0 * p->neighbor_hit_rate,
-        p->max_alloc);
+        "           base=%s landmarks=%zu nbr_hit=%.0f%% max_alloc=%zu B\n",
+        p->nodes, p->bringup_ms, p->tick_ns, p->maint_ns,
+        p->sketch ? "sketch" : "matrix", p->landmarks,
+        100.0 * p->neighbor_hit_rate, p->max_alloc);
     if (p == &sp_full && nodes <= small_target) break;
   }
-  // The scaling exponent is only meaningful when both points exercise the
-  // sketch-mode sparse backend at large N (the regime whose asymptote it
-  // claims to measure). Small-N points run the exact-mode base — fitting an
-  // exponent across those is numerology, so it is reported as null instead.
+  // The scaling exponent is only meaningful when both points run the
+  // sketch base at large N (the regime whose asymptote it claims to
+  // measure). Small-N points run the materialized base, whose O(N^2)
+  // bring-up is by design — fitting an exponent across those is numerology,
+  // so it is reported as null instead.
   const bool maint_exponent_valid =
       scaling_only && sp_full.nodes > sp_small.nodes &&
-      sp_small.maint_ns > 0.0 &&
-      std::strcmp(sp_small.base_mode, "sketch") == 0 &&
-      std::strcmp(sp_full.base_mode, "sketch") == 0;
+      sp_small.maint_ns > 0.0 && sp_small.sketch && sp_full.sketch;
   const double maint_exponent =
       maint_exponent_valid
           ? std::log(sp_full.maint_ns / sp_small.maint_ns) /
                 std::log(static_cast<double>(sp_full.nodes) /
                          static_cast<double>(sp_small.nodes))
           : 0.0;
-  // The flat-memory acceptance gate: no single allocation anywhere near an
-  // N x N double matrix (or the N(N+1)/2 jitter triangle) may happen while
-  // the sparse backend runs. Only meaningful once quadratic buffers dwarf
-  // the backend's legitimate O(N) arrays (a few hundred bytes per node);
-  // below ~512 nodes the two regimes overlap and the dense-vs-sparse
-  // equivalence test owns the precise assertion.
-  bool sparse_mem_flat = true;
+  // The flat-memory acceptance gate: on the sketch base no single
+  // allocation may come anywhere near an N x N double matrix (or an
+  // N(N+1)/2 triangle). The materialized base is one N x N matrix by
+  // design, so its points are not gated.
+  bool sketch_mem_flat = true;
   for (const auto* p : {&sp_small, &sp_full}) {
-    if (p->nodes < 512) continue;
+    if (!p->sketch) continue;
     if (p->max_alloc * 2 >= p->nodes * (p->nodes + 1) * sizeof(double)) {
-      sparse_mem_flat = false;
+      sketch_mem_flat = false;
       std::fprintf(stderr,
-                   "FAIL: sparse run allocated an O(N^2)-sized buffer "
+                   "FAIL: sketch-base run allocated an O(N^2)-sized buffer "
                    "(%zu bytes at N=%zu)\n",
                    p->max_alloc, p->nodes);
     }
   }
   if (maint_exponent_valid) {
-    std::printf("maintenance-epoch scaling exponent: %.2f  (dense is 2.0)\n",
-                maint_exponent);
+    std::printf("maintenance-epoch scaling exponent: %.2f\n", maint_exponent);
   } else {
     std::printf(
         "maintenance-epoch scaling exponent: n/a — only measured across a "
-        "large-N sketch-mode sweep (--fabric=sparse --nodes>4096)\n");
+        "sketch-base sweep (--nodes>%zu)\n",
+        sbon::net::kMaterializeMaxNodes);
   }
-  if (!sparse_mem_flat) return 1;
+  if (!sketch_mem_flat) return 1;
 
   if (!sbon::bench::JsonFlag().empty()) {
     std::FILE* f = std::fopen(sbon::bench::JsonFlag().c_str(), "w");
@@ -1225,14 +1211,12 @@ int main(int argc, char** argv) {
                  "  \"bench\": \"perf_epoch\",\n"
                  "  \"smoke\": %s,\n"
                  "  \"mode\": \"%s\",\n"
-                 "  \"fabric\": \"%s\",\n"
                  "  \"exec\": \"%s\",\n"
                  "  \"nodes\": %zu,\n"
                  "  \"queries\": %zu,\n"
                  "  \"epochs\": %zu,\n",
                  smoke ? "true" : "false",
-                 scaling_only ? "sparse-scaling" : "standard",
-                 sbon::bench::FabricFlag().c_str(),
+                 scaling_only ? "scaling-only" : "standard",
                  sbon::bench::ExecFlag().c_str(), nodes, queries, epochs);
     if (!scaling_only) {
       char speedup_buf[64];
@@ -1331,8 +1315,7 @@ int main(int argc, char** argv) {
       }
       std::fprintf(f, "\n  },\n");
     }
-    auto write_point = [f](const char* key,
-                           const sbon::SparseScalePoint& p) {
+    auto write_point = [f](const char* key, const sbon::ScalePoint& p) {
       std::fprintf(f,
                    "    \"%s\": {\n"
                    "      \"nodes\": %zu,\n"
@@ -1340,13 +1323,12 @@ int main(int argc, char** argv) {
                    "      \"tick_ns\": %.1f,\n"
                    "      \"maint_ns\": %.1f,\n"
                    "      \"max_single_alloc_bytes\": %zu,\n"
-                   "      \"base_mode\": \"%s\",\n"
+                   "      \"base\": \"%s\",\n"
                    "      \"landmarks\": %zu,\n"
-                   "      \"row_builds\": %zu,\n"
                    "      \"neighbor_hit_rate\": %.3f\n"
                    "    }",
                    key, p.nodes, p.bringup_ms, p.tick_ns, p.maint_ns,
-                   p.max_alloc, p.base_mode, p.landmarks, p.row_builds,
+                   p.max_alloc, p.sketch ? "sketch" : "matrix", p.landmarks,
                    p.neighbor_hit_rate);
     };
     {
@@ -1433,7 +1415,7 @@ int main(int argc, char** argv) {
         ct.detection_p95, ct.detection_samples, ct.convergence_epochs,
         ct.converged ? "true" : "false",
         chaos_replay_identical ? "true" : "false");
-    std::fprintf(f, "  \"sparse\": {\n");
+    std::fprintf(f, "  \"scaling\": {\n");
     write_point("small", sp_small);
     std::fprintf(f, ",\n");
     write_point("full", sp_full);
@@ -1451,11 +1433,11 @@ int main(int argc, char** argv) {
                  "  }\n"
                  "}\n",
                  maint_exponent_valid
-                     ? "fit across the sketch-mode sparse sweep"
-                     : "null: only meaningful across a large-N sketch-mode "
-                       "sparse sweep (--fabric=sparse --nodes>4096); "
-                       "small-N points run the exact-mode base",
-                 sparse_mem_flat ? "true" : "false");
+                     ? "fit across the sketch-base sweep"
+                     : "null: only meaningful across a sketch-base sweep "
+                       "(--nodes>4096); small-N points run the materialized "
+                       "base",
+                 sketch_mem_flat ? "true" : "false");
     std::fclose(f);
     std::printf("\nwrote %s\n", sbon::bench::JsonFlag().c_str());
   }

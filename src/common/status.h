@@ -2,6 +2,8 @@
 #define SBON_COMMON_STATUS_H_
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <utility>
@@ -69,7 +71,9 @@ class Status {
 };
 
 /// Either a value of type `T` or an error `Status`. Accessing the value of a
-/// non-OK result is a programming error (checked by assert in debug builds).
+/// non-OK result is a programming error: it prints the status and aborts, in
+/// every build type, so callers whose inputs are constants (tests, benches)
+/// may unwrap with `.value()` directly.
 template <typename T>
 class StatusOr {
  public:
@@ -85,15 +89,15 @@ class StatusOr {
   const Status& status() const { return status_; }
 
   const T& value() const& {
-    assert(ok());
+    CheckOk();
     return *value_;
   }
   T& value() & {
-    assert(ok());
+    CheckOk();
     return *value_;
   }
   T&& value() && {
-    assert(ok());
+    CheckOk();
     return std::move(*value_);
   }
 
@@ -103,6 +107,13 @@ class StatusOr {
   T* operator->() { return &value(); }
 
  private:
+  void CheckOk() const {
+    if (ok()) return;
+    std::fprintf(stderr, "StatusOr::value() on error: %s\n",
+                 status_.ToString().c_str());
+    std::abort();
+  }
+
   Status status_;
   std::optional<T> value_;
 };

@@ -1,7 +1,6 @@
 #include "net/fabric.h"
 
 #include <limits>
-#include <utility>
 
 namespace sbon::net {
 
@@ -10,26 +9,28 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
 NetworkFabric::NetworkFabric(const Topology& topo, double jitter_sigma,
-                             Rng* rng)
-    : n_(topo.NumNodes()) {
-  base_ = std::make_unique<LatencyMatrix>(topo);
-  live_ = std::make_unique<LatencyMatrix>(*base_);
+                             Rng* rng, size_t materialize_max_nodes)
+    : n_(topo.NumNodes()),
+      sigma_(jitter_sigma),
+      live_view_(this, /*live=*/true),
+      base_view_(this, /*live=*/false) {
   down_.assign(n_, 0);
-  if (jitter_sigma > 0.0) {
-    jitter_ = std::make_unique<LatencyJitter>(n_, jitter_sigma, rng);
+  if (n_ <= materialize_max_nodes) {
+    matrix_ = std::make_unique<LatencyMatrix>(topo);
+  } else {
+    PlaceLandmarks(topo);
+    neighbor_cache_.resize(n_ * kSketchCacheSlots);
   }
+  // The one construction draw iff jitter is attached: the epoch seed the
+  // factors derive from until the first tick (read only after a jittered
+  // EndPartition on an unticked fabric).
+  if (sigma_ > 0.0) epoch_seed_ = rng->Next();
 }
 
-void NetworkFabric::TickNetwork(Rng* rng, ThreadPool* pool) {
-  if (jitter_ == nullptr) return;
-  jitter_->Resample(rng, pool);
-  jitter_->ApplyAll(*base_, live_.get(), pool);
+void NetworkFabric::TickNetwork(Rng* rng) {
+  if (sigma_ <= 0.0) return;
+  epoch_seed_ = rng->Next();
   jitter_applied_ = true;
-  // ApplyAll rebuilt the live matrix from the pristine base, so an active
-  // partition's penalty — and the +inf rows of down endpoints — must be
-  // re-applied on top of the fresh jitter.
-  if (partition_active_) ApplyPartitionToLive(pool);
-  if (down_count_ > 0) ApplyDownToLive();
 }
 
 Status NetworkFabric::BeginPartition(const std::vector<NodeId>& group,
@@ -41,123 +42,82 @@ Status NetworkFabric::BeginPartition(const std::vector<NodeId>& group,
   if (factor < 1.0) {
     return Status::InvalidArgument("partition factor must be >= 1");
   }
-  partitioned_.assign(n_, false);
+  partitioned_.assign(n_, 0);
   for (NodeId n : group) {
     if (n >= n_) {
       return Status::OutOfRange("partition member out of range");
     }
-    partitioned_[n] = true;
+    partitioned_[n] = 1;
   }
   partition_active_ = true;
   partition_factor_ = factor;
-  ApplyPartitionToLive(nullptr);
   return Status::OK();
 }
 
-Status NetworkFabric::EndPartition(ThreadPool* pool) {
+Status NetworkFabric::EndPartition() {
   if (!partition_active_) {
     return Status::FailedPrecondition("no active partition");
   }
   partition_active_ = false;
-  // Restore the live matrix: current jitter factors over the pristine base
-  // (EndPartition is not a new congestion epoch, so no resample), or the
-  // base itself on a jitter-free overlay.
-  if (jitter_ != nullptr) {
-    jitter_->ApplyAll(*base_, live_.get(), pool);
-    jitter_applied_ = true;
-  } else {
-    *live_ = *base_;
-  }
-  if (down_count_ > 0) ApplyDownToLive();
+  // Healing re-applies the current factors without a resample, so on a
+  // jittered fabric that was never ticked the construction-epoch factors
+  // take effect here.
+  if (sigma_ > 0.0) jitter_applied_ = true;
   return Status::OK();
 }
 
-void NetworkFabric::SetEndpointDown(NodeId n, bool down) {
-  if (static_cast<bool>(down_[n]) == down) return;
-  down_[n] = down ? 1 : 0;
-  if (down) {
-    ++down_count_;
-    double* m = live_->MutableData();
-    for (size_t b = 0; b < n_; ++b) {
-      m[static_cast<size_t>(n) * n_ + b] = kInf;
-      m[b * n_ + n] = kInf;
-    }
-  } else {
-    --down_count_;
-    RestoreRow(n);
+double NetworkFabric::SketchBase(NodeId a, NodeId b) const {
+  ++stats_.base_reads;
+  NeighborSlot& slot =
+      neighbor_cache_[static_cast<size_t>(a) * kSketchCacheSlots +
+                      b % kSketchCacheSlots];
+  if (slot.peer == b) {
+    ++stats_.neighbor_hits;
+    return slot.value;
   }
+  // Upper bound by triangle inequality, exact when a shortest path crosses
+  // a landmark. Symmetric in (a, b): addition is commutative and the
+  // landmark walk order is fixed, so both argument orders see identical
+  // fp ops.
+  const double* da = landmark_dist_.data() + a * kSketchLandmarks;
+  const double* db = landmark_dist_.data() + b * kSketchLandmarks;
+  double best = kInf;
+  for (size_t k = 0; k < landmarks_.size(); ++k) {
+    const double via = da[k] + db[k];
+    if (via < best) best = via;
+  }
+  slot.peer = b;
+  slot.value = best;
+  return best;
 }
 
-void NetworkFabric::ApplyDownToLive() {
-  double* m = live_->MutableData();
-  for (NodeId n = 0; n < n_; ++n) {
-    if (!down_[n]) continue;
-    for (size_t b = 0; b < n_; ++b) {
-      m[static_cast<size_t>(n) * n_ + b] = kInf;
-      m[b * n_ + n] = kInf;
-    }
-  }
-}
-
-void NetworkFabric::RestoreRow(NodeId n) {
-  double* m = live_->MutableData();
-  for (size_t b = 0; b < n_; ++b) {
-    if (down_[b]) {
-      m[static_cast<size_t>(n) * n_ + b] = kInf;
-      m[b * n_ + n] = kInf;
-      continue;
-    }
-    if (b == n) {
-      // Diagonal entries are copied through unjittered (see ApplyAll).
-      m[static_cast<size_t>(n) * n_ + n] = base_->Latency(n, n);
-      continue;
-    }
-    const NodeId nb = static_cast<NodeId>(b);
-    const bool crosses = CrossesPartition(n, nb);
-    if (jitter_ != nullptr && jitter_applied_) {
-      // ApplyAll writes both mirrors of a pair from the *upper-triangle*
-      // base entry times the symmetric factor; replay exactly that product
-      // so a revived row is bit-identical to never having crashed. The base
-      // mirrors themselves can differ in the last ulp (per-source Dijkstra
-      // accumulates the path sum in opposite orders), so resolving through
-      // base(n, b) here would leave a permanent one-ulp scar.
-      const NodeId lo = n < nb ? n : nb;
-      const NodeId hi = n < nb ? nb : n;
-      double v = jitter_->Apply(lo, hi, base_->Latency(lo, hi));
-      if (crosses) v *= partition_factor_;
-      m[static_cast<size_t>(n) * n_ + b] = v;
-      m[b * n_ + n] = v;
-    } else {
-      // A jitter-free live matrix is a plain copy of the base, whose mirror
-      // entries are independent; restore each side from its own base entry.
-      double va = base_->Latency(n, nb);
-      double vb = base_->Latency(nb, n);
-      if (crosses) {
-        va *= partition_factor_;
-        vb *= partition_factor_;
-      }
-      m[static_cast<size_t>(n) * n_ + b] = va;
-      m[b * n_ + n] = vb;
-    }
-  }
-}
-
-void NetworkFabric::ApplyPartitionToLive(ThreadPool* pool) {
-  double* m = live_->MutableData();
-  // Each cross-cut entry is multiplied by the factor exactly once whether
-  // the walk is the serial triangle (both mirror entries per pair) or the
-  // row-sharded full sweep, so the result is identical either way.
-  ParallelSlices(pool, n_, [&](size_t row_begin, size_t row_end) {
-    for (size_t a = row_begin; a < row_end; ++a) {
-      const bool side = partitioned_[a];
-      double* row = m + a * n_;
-      for (size_t b = 0; b < n_; ++b) {
-        if (side != static_cast<bool>(partitioned_[b])) {
-          row[b] *= partition_factor_;
-        }
+void NetworkFabric::PlaceLandmarks(const Topology& topo) {
+  // Deterministic farthest-point traversal from node 0: each new landmark is
+  // the node farthest (first-index tie-break) from the landmark set so far.
+  // No Rng involved — placement must not perturb the caller's draw stream.
+  const size_t want = kSketchLandmarks < n_ ? kSketchLandmarks : n_;
+  landmarks_.reserve(want);
+  landmark_dist_.assign(n_ * kSketchLandmarks, kInf);
+  std::vector<double> min_dist(n_, kInf);
+  NodeId next = 0;
+  for (size_t k = 0; k < want; ++k) {
+    landmarks_.push_back(next);
+    const std::vector<double> row = DijkstraLatencies(topo, next);
+    NodeId farthest = kInvalidNode;
+    double far_d = -1.0;
+    for (NodeId i = 0; i < n_; ++i) {
+      landmark_dist_[static_cast<size_t>(i) * kSketchLandmarks + k] = row[i];
+      if (row[i] < min_dist[i]) min_dist[i] = row[i];
+      // Unreachable nodes (inf) are the farthest of all: the next landmark
+      // lands in their component and covers it.
+      if (min_dist[i] > far_d && min_dist[i] > 0.0) {
+        far_d = min_dist[i];
+        farthest = i;
       }
     }
-  });
+    if (farthest == kInvalidNode || far_d == 0.0) break;  // n small: covered
+    next = farthest;
+  }
 }
 
 }  // namespace sbon::net

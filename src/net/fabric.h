@@ -1,11 +1,12 @@
 #ifndef SBON_NET_FABRIC_H_
 #define SBON_NET_FABRIC_H_
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "common/ids.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "net/dynamics.h"
@@ -14,157 +15,190 @@
 
 namespace sbon::net {
 
-/// The latency-substrate seam: everything the overlay needs from "the
-/// network" — a pristine and a live pairwise-latency view, the per-epoch
-/// congestion tick, and the soft-partition overlay — behind one interface so
-/// the representation can be swapped by scale:
+/// Largest overlay whose pristine base latencies are materialized as a flat
+/// N x N matrix (128 MB of doubles at the limit). Above it the base is a
+/// landmark sketch with O(landmarks * N) memory, and the centralized
+/// coordinate modes (MDS / true coordinates), which need every exact pair,
+/// are refused at overlay creation.
+inline constexpr size_t kMaterializeMaxNodes = 4096;
+
+/// The physical-network substrate of the overlay: a pristine and a live
+/// pairwise-latency view, the per-epoch congestion tick, endpoint liveness
+/// and the soft-partition overlay that inflates cross-cut latency during
+/// connectivity faults. One of the three substrates `overlay::Sbon`
+/// composes (alongside coords::CoordinateManager and overlay::ServiceLedger);
+/// it owns latency state only.
 ///
-///  - NetworkFabric (dense): materialized O(n^2) base + live matrices.
-///    Exact, O(1) reads, the right choice up to a few thousand nodes.
-///  - SparseFabric (generative, net/sparse_fabric.h): computes base latency
-///    on demand from the topology, derives jitter index-addressably from the
-///    epoch seed, and applies the partition penalty as a predicate over the
-///    cut. O(n) memory — the only backend that reaches 100k+ nodes.
+/// Base store, chosen by size:
+///  - N <= `materialize_max_nodes`: a flat row-major LatencyMatrix from one
+///    Dijkstra per source, so base(a, b) is Dijkstra(a)[b] exactly;
+///  - above it: a landmark sketch. `kSketchLandmarks` landmarks are placed
+///    by deterministic farthest-point traversal, each contributing one exact
+///    Dijkstra row; a pair's base latency is min over landmarks of
+///    d(l, a) + d(l, b) — symmetric, exact when a shortest path crosses a
+///    landmark, an upper bound (triangle inequality) otherwise. A per-node
+///    direct-mapped neighbor cache memoizes resolved pairs; it never changes
+///    a returned value.
 ///
-/// Contract shared by all backends: `TickNetwork` consumes exactly one Rng
-/// draw per call when the backend was built with jitter (none otherwise);
-/// construction consumes exactly one draw iff jitter_sigma > 0; and at sizes
-/// where both backends exist, fixed-seed live latencies are bit-identical
-/// across backends.
-class FabricBackend {
+/// Live reads are generative: nothing is rewritten per epoch. TickNetwork
+/// draws one epoch seed, and a read derives the pair's congestion factor
+/// from it (JitterFactorAt over the upper-triangle pair index), then
+/// applies the partition penalty and the dead-endpoint sentinel:
+///
+///   live(a, b) = +inf                                   if a or b is down
+///              = base(a, b)                             before the first tick
+///              = base(lo, hi) * factor(seed, lo, hi)    after it
+///              (* partition factor when the pair crosses the cut)
+///
+/// with lo/hi = min/max(a, b), so jittered live latencies are bitwise
+/// symmetric. The self-pair of a live endpoint reads 0.
+///
+/// Rng contract: construction consumes exactly one draw iff
+/// jitter_sigma > 0, and TickNetwork exactly one draw per call iff jitter
+/// is attached (none otherwise) — so the overlay's shared stream, and every
+/// fixed-seed golden, do not depend on the base store.
+///
+/// Reads of the sketch mutate its cache; like every substrate here,
+/// concurrent reads require external ordering. The epoch pipeline only
+/// reads live latencies from serial stages.
+class NetworkFabric {
  public:
-  virtual ~FabricBackend() = default;
+  /// Landmarks of the sketch base (each costs one N-vector of doubles).
+  static constexpr size_t kSketchLandmarks = 32;
+  /// Neighbor-cache slots per node of the sketch base.
+  static constexpr size_t kSketchCacheSlots = 16;
 
-  /// Marks an endpoint down (crashed) or back up. While a node is down,
-  /// every `live()` latency read involving it — the self-pair included —
-  /// returns +infinity: the pinned cross-backend semantic for dead
-  /// endpoints. A crashed node is unreachable, never "as fast as it was
-  /// before the crash" (the stale value the live view used to return) and
-  /// never NaN (the penalty composes multiplicatively with jitter and
-  /// partition factors, which are finite and positive). `base()` is
-  /// unaffected: it answers "what would the healed network look like",
-  /// which is what drift measurement and rejoin placement need.
-  virtual void SetEndpointDown(NodeId n, bool down) = 0;
-  /// True while SetEndpointDown(n, true) is in effect.
-  virtual bool EndpointDown(NodeId n) const = 0;
-  /// True when an active partition separates `a` and `b` (the pair crosses
-  /// the cut); always false without an active partition. This is the drop
-  /// predicate message delivery tests before paying cross-cut latency.
-  virtual bool CrossesPartition(NodeId a, NodeId b) const = 0;
+  /// Cumulative sketch-base resolution counters (zero on a materialized
+  /// base, which needs no cache).
+  struct CacheStats {
+    size_t base_reads = 0;     ///< sketch resolutions (cache hits included)
+    size_t neighbor_hits = 0;  ///< served from the per-node slot cache
+  };
 
-  /// The live latency view: jitter times base, partition penalty on top.
-  virtual const LatencyView& live() const = 0;
-  /// The pristine latencies (before jitter/partition), for drift measurement.
-  virtual const LatencyView& base() const = 0;
-  virtual bool has_jitter() const = 0;
-  virtual size_t NumNodes() const = 0;
-  /// Backend name for logs/bench JSON ("dense" / "sparse").
-  virtual const char* name() const = 0;
-  /// True when TickNetwork does O(n^2) work worth sharding across a pool
-  /// (dense rewrite); false when it is O(1) (sparse seed bump) and the
-  /// epoch pipeline should not bother scheduling it on workers.
-  virtual bool sharded_tick() const = 0;
-
-  /// Starts a new latency epoch. One draw from `rng` iff built with jitter.
-  virtual void TickNetwork(Rng* rng, ThreadPool* pool = nullptr) = 0;
-
-  /// Soft link partition: the live latency of every pair that crosses the
-  /// cut (`group` vs. the rest) is scaled by `factor` until EndPartition.
-  /// One partition may be active at a time.
-  virtual Status BeginPartition(const std::vector<NodeId>& group,
-                                double factor) = 0;
-  /// Heals the active partition, restoring jittered (or base) latencies.
-  virtual Status EndPartition(ThreadPool* pool = nullptr) = 0;
-  virtual bool partition_active() const = 0;
-};
-
-/// The dense physical-network substrate of the overlay: the pristine
-/// all-pairs latency matrix, the live (jittered) view every cost measurement
-/// reads, the per-epoch congestion jitter, and the soft-partition overlay
-/// that inflates cross-cut latency during connectivity faults.
-///
-/// One of the three substrates `overlay::Sbon` composes (alongside
-/// coords::CoordinateManager and overlay::ServiceLedger). It owns latency
-/// state only — node liveness, load, and coordinates live elsewhere.
-///
-/// The jitter path (TickNetwork) shards across an optional ThreadPool by
-/// matrix row; results are bit-identical at any thread count (see
-/// LatencyJitter).
-class NetworkFabric final : public FabricBackend {
- public:
-  /// Builds the base matrix from `topo` (all-pairs shortest paths) and the
-  /// live view as a copy. `jitter_sigma > 0` attaches a LatencyJitter whose
-  /// construction consumes exactly one draw from `rng` — the same draw
-  /// order the monolithic Sbon::Initialize always had.
-  NetworkFabric(const Topology& topo, double jitter_sigma, Rng* rng);
+  /// Builds the base store over `topo` and attaches jitter iff
+  /// `jitter_sigma > 0` (one draw from `rng`). `materialize_max_nodes` is
+  /// the base-store switch point; lowering it reaches the sketch at small N.
+  NetworkFabric(const Topology& topo, double jitter_sigma, Rng* rng,
+                size_t materialize_max_nodes = kMaterializeMaxNodes);
 
   NetworkFabric(const NetworkFabric&) = delete;
   NetworkFabric& operator=(const NetworkFabric&) = delete;
 
-  /// The live latency matrix: jitter times base, partition penalty on top
-  /// (covariant — callers holding the concrete type keep raw-buffer access).
-  const LatencyMatrix& live() const override { return *live_; }
-  /// The pristine matrix (before jitter/partition), for drift measurement.
-  const LatencyMatrix& base() const override { return *base_; }
-  bool has_jitter() const override { return jitter_ != nullptr; }
-  size_t NumNodes() const override { return n_; }
-  const char* name() const override { return "dense"; }
-  bool sharded_tick() const override { return true; }
-
-  /// Starts a new latency epoch: resamples pairwise jitter factors (one
-  /// draw from `rng`), rewrites the live matrix, and re-applies the active
-  /// partition's penalty on top of the fresh jitter. No-op without jitter.
-  void TickNetwork(Rng* rng, ThreadPool* pool = nullptr) override;
-
-  /// Soft link partition: multiplies the live latency of every pair that
-  /// crosses the cut (`group` vs. the rest) by `factor` until EndPartition.
-  /// One partition may be active at a time.
-  Status BeginPartition(const std::vector<NodeId>& group,
-                        double factor) override;
-  /// Heals the active partition, restoring jittered (or base) latencies.
-  Status EndPartition(ThreadPool* pool = nullptr) override;
-  bool partition_active() const override { return partition_active_; }
-
-  /// Infs row/column `n` of the live matrix while down; restores it from
-  /// base x current jitter factors (plus partition penalty) on revival.
-  void SetEndpointDown(NodeId n, bool down) override;
-  bool EndpointDown(NodeId n) const override {
-    return static_cast<bool>(down_[n]);
+  /// The live latency view: jitter times base, partition penalty on top,
+  /// +inf for down endpoints.
+  const LatencyView& live() const { return live_view_; }
+  /// The pristine latencies (before jitter/partition/liveness): what the
+  /// healed network would look like, for drift measurement and rejoins.
+  const LatencyView& base() const {
+    return matrix_ != nullptr ? static_cast<const LatencyView&>(*matrix_)
+                              : base_view_;
   }
-  bool CrossesPartition(NodeId a, NodeId b) const override {
-    return partition_active_ && static_cast<bool>(partitioned_[a]) !=
-                                    static_cast<bool>(partitioned_[b]);
+  bool has_jitter() const { return sigma_ > 0.0; }
+  size_t NumNodes() const { return n_; }
+  /// True when the base is the flat matrix, false for the landmark sketch.
+  bool materialized() const { return matrix_ != nullptr; }
+  /// Landmarks actually placed (0 on a materialized base).
+  size_t num_landmarks() const { return landmarks_.size(); }
+  const CacheStats& cache_stats() const { return stats_; }
+
+  /// Starts a new congestion epoch: one draw from `rng` becomes the seed
+  /// every jitter factor is derived from on demand. O(1); no-op (and no
+  /// draw) without jitter.
+  void TickNetwork(Rng* rng);
+
+  /// Soft link partition: the live latency of every pair that crosses the
+  /// cut (`group` vs. the rest) is scaled by `factor` until EndPartition.
+  /// One partition may be active at a time.
+  Status BeginPartition(const std::vector<NodeId>& group, double factor);
+  /// Heals the active partition. On a jittered fabric that was never
+  /// ticked this also starts applying the construction-epoch factors
+  /// (live != base afterwards) — the pinned state machine.
+  Status EndPartition();
+  bool partition_active() const { return partition_active_; }
+
+  /// Marks an endpoint down (crashed) or back up: an O(1) flag the live
+  /// view tests at read time, so a revived node's latencies are bitwise
+  /// those of never having crashed.
+  void SetEndpointDown(NodeId n, bool down) { down_[n] = down ? 1 : 0; }
+  bool EndpointDown(NodeId n) const { return down_[n] != 0; }
+  /// True when an active partition separates `a` and `b`; the drop
+  /// predicate message delivery tests before paying cross-cut latency.
+  bool CrossesPartition(NodeId a, NodeId b) const {
+    return partition_active_ && partitioned_[a] != partitioned_[b];
   }
 
  private:
-  /// Multiplies cross-cut pairs of the live matrix by the partition factor.
-  /// Row-sharded when `pool` is given; each entry sees one multiply either
-  /// way, so the result is bit-identical at any thread count.
-  void ApplyPartitionToLive(ThreadPool* pool);
-  /// Re-infs the rows/columns of every down endpoint. Must run after any
-  /// full live-matrix rebuild (TickNetwork's ApplyAll, EndPartition's
-  /// restore), which writes finite values over the +inf sentinels.
-  void ApplyDownToLive();
-  /// Recomputes live row/column `n` exactly as a full rebuild would —
-  /// base x current jitter factor (once factors have been stamped),
-  /// partition penalty on cross-cut pairs, +inf against endpoints that are
-  /// still down — so a revived node's latencies are bit-identical to never
-  /// having crashed.
-  void RestoreRow(NodeId n);
+  class View final : public LatencyView {
+   public:
+    View(const NetworkFabric* fabric, bool live)
+        : fabric_(fabric), live_(live) {}
+    size_t NumNodes() const override { return fabric_->n_; }
+    double Latency(NodeId a, NodeId b) const override {
+      return live_ ? fabric_->LiveLatency(a, b) : fabric_->BaseLatency(a, b);
+    }
+
+   private:
+    const NetworkFabric* fabric_;
+    bool live_;
+  };
+
+  double BaseLatency(NodeId a, NodeId b) const {
+    if (a == b) return 0.0;
+    return matrix_ != nullptr ? matrix_->Latency(a, b) : SketchBase(a, b);
+  }
+  double LiveLatency(NodeId a, NodeId b) const {
+    // Dead endpoints read as unreachable, the self-pair included.
+    if (down_[a] || down_[b]) return std::numeric_limits<double>::infinity();
+    if (a == b) return 0.0;
+    double v;
+    if (jitter_applied_) {
+      // Both argument orders resolve through the upper-triangle base entry
+      // (per-source Dijkstra mirrors can differ in the last ulp), so
+      // jittered reads are bitwise symmetric.
+      const NodeId lo = a < b ? a : b;
+      const NodeId hi = a < b ? b : a;
+      v = BaseLatency(lo, hi) *
+          JitterFactorAt(epoch_seed_, sigma_, JitterPairIndex(lo, hi, n_));
+    } else {
+      v = BaseLatency(a, b);
+    }
+    if (CrossesPartition(a, b)) v *= partition_factor_;
+    return v;
+  }
+  /// Sketch resolution through the neighbor cache of row `a`.
+  double SketchBase(NodeId a, NodeId b) const;
+  void PlaceLandmarks(const Topology& topo);
 
   size_t n_;
-  std::unique_ptr<LatencyMatrix> base_;  // pristine
-  std::unique_ptr<LatencyMatrix> live_;  // jittered + partitioned view
-  std::unique_ptr<LatencyJitter> jitter_;
-  /// True once jitter factors have been stamped onto the live matrix (first
-  /// TickNetwork or a jittered EndPartition) — mirrors the sparse backend's
-  /// flag; RestoreRow must not apply factors the matrix never saw.
+  double sigma_;
+  /// Materialized base store; null when the sketch is the base.
+  std::unique_ptr<LatencyMatrix> matrix_;
+
+  // Congestion epoch. `jitter_applied_` is false until the first
+  // TickNetwork (or a jittered EndPartition); until then live reads equal
+  // base.
+  uint64_t epoch_seed_ = 0;
   bool jitter_applied_ = false;
+
   bool partition_active_ = false;
   double partition_factor_ = 1.0;
-  std::vector<bool> partitioned_;  ///< by node id; one side of the cut
-  std::vector<uint8_t> down_;      ///< by node id; endpoint marked down
-  size_t down_count_ = 0;
+  std::vector<uint8_t> partitioned_;  ///< by node id; one side of the cut
+  std::vector<uint8_t> down_;         ///< by node id; endpoint marked down
+
+  // Sketch store: landmark ids, each node's distances to them (node-major,
+  // kSketchLandmarks slots per node, so a pair read touches two contiguous
+  // runs) and the per-node direct-mapped cache of resolved pairs.
+  std::vector<NodeId> landmarks_;
+  std::vector<double> landmark_dist_;
+  struct NeighborSlot {
+    NodeId peer = kInvalidNode;
+    double value = 0.0;
+  };
+  mutable std::vector<NeighborSlot> neighbor_cache_;
+  mutable CacheStats stats_;
+
+  View live_view_;
+  View base_view_;
 };
 
 }  // namespace sbon::net

@@ -20,9 +20,8 @@ void DijkstraWithPredecessors(const Topology& topo, NodeId src,
 
 /// Read-only pairwise-latency oracle: the interface every latency consumer
 /// (Vivaldi sampling, circuit cost accounting, embedding evaluation) reads
-/// through. Implemented densely by LatencyMatrix and generatively by the
-/// sparse fabric backend's on-demand views — consumers cannot tell the two
-/// apart because fixed-seed values are bit-identical where both exist.
+/// through. Implemented by LatencyMatrix and by the on-demand live/base
+/// views of net::NetworkFabric.
 class LatencyView {
  public:
   virtual ~LatencyView() = default;
@@ -35,16 +34,16 @@ class LatencyView {
   virtual double Latency(NodeId a, NodeId b) const = 0;
 
   /// Mean of all off-diagonal pairwise latencies (used for normalization).
-  /// O(n^2) reads — the default walks every pair in the same order the
-  /// dense matrix does, so dense and generative views agree bitwise.
+  /// O(n^2) reads — the default walks every pair in the same order as
+  /// LatencyMatrix's override, so both agree bitwise.
   virtual double MeanLatency() const;
   /// Maximum finite pairwise latency (network diameter in ms). O(n^2) reads.
   virtual double MaxLatency() const;
 };
 
 /// Dense all-pairs latency matrix. Built once per topology; queries are O(1).
-/// This is the "network oracle" that stands in for real RTT measurements:
-/// Vivaldi samples it with noise, and circuit cost accounting uses it exactly.
+/// The materialized base store of net::NetworkFabric, which stands in for
+/// real RTT measurements.
 class LatencyMatrix final : public LatencyView {
  public:
   /// Runs Dijkstra from every node. O(n * m log n).
@@ -55,18 +54,12 @@ class LatencyMatrix final : public LatencyView {
   /// Shortest-path latency in ms between a and b.
   double Latency(NodeId a, NodeId b) const override { return m_[a * n_ + b]; }
 
-  /// Overrides one symmetric pairwise latency (dynamic-latency models
-  /// apply jitter factors on top of a pristine base matrix).
+  /// Overrides one symmetric pairwise latency (tests and scripted
+  /// scenarios).
   void Set(NodeId a, NodeId b, double latency_ms) {
     m_[a * n_ + b] = latency_ms;
     m_[b * n_ + a] = latency_ms;
   }
-
-  /// Raw row-major n*n buffer, for bulk rewrites (epoch jitter application
-  /// touches every pair; going through Set would pay two indexed stores per
-  /// pair plus call overhead). Row `a` starts at `data() + a * NumNodes()`.
-  const double* data() const { return m_.data(); }
-  double* MutableData() { return m_.data(); }
 
   /// Direct-buffer overrides of the LatencyView pair sweeps (same walk
   /// order, so results match the generic implementations bitwise).

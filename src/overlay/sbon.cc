@@ -1,19 +1,10 @@
 #include "overlay/sbon.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 namespace sbon::overlay {
-
-namespace {
-// Shared by Create (validation) and Initialize (construction) so the two
-// can never disagree on which backend an Options/topology pair resolves to.
-bool ResolvesToSparseFabric(const Sbon::Options& options, size_t num_nodes) {
-  return options.fabric_mode == Sbon::FabricMode::kSparse ||
-         (options.fabric_mode == Sbon::FabricMode::kAuto &&
-          num_nodes > options.sparse_auto_threshold);
-}
-}  // namespace
 
 Sbon::Sbon(net::Topology topo, Options options)
     : topo_(std::move(topo)), options_(std::move(options)),
@@ -36,13 +27,13 @@ StatusOr<std::unique_ptr<Sbon>> Sbon::Create(net::Topology topo,
   if (options.load_per_byte_per_s <= 0.0) {
     return Status::InvalidArgument("load_per_byte_per_s must be > 0");
   }
-  if (ResolvesToSparseFabric(options, topo.NumNodes()) &&
-      options.coord_mode != CoordMode::kVivaldi) {
-    // MDS / true coordinates are centralized O(n^2) ablation solves; running
-    // them against a generative substrate would just rebuild the dense
-    // matrix pair read by read.
+  if (topo.NumNodes() > net::kMaterializeMaxNodes &&
+      options.coord_mode != coords::CoordMode::kVivaldi) {
+    // MDS / true coordinates are centralized O(n^2) ablation solves; above
+    // the materialized base they would read every pair of the sketch.
     return Status::InvalidArgument(
-        "sparse fabric requires Vivaldi coordinates");
+        "MDS / true coordinates need a materialized latency base (at most " +
+        std::to_string(net::kMaterializeMaxNodes) + " nodes)");
   }
   std::unique_ptr<Sbon> s(new Sbon(std::move(topo), std::move(options)));
   Status st = s->Initialize();
@@ -61,15 +52,10 @@ Status Sbon::Initialize() {
   // Substrate bring-up order is load-bearing: each step consumes the shared
   // Rng in the exact sequence the monolithic Initialize always did (jitter
   // seed, Vivaldi gossip, ambient load), so fixed-seed overlays are
-  // bit-identical across the decomposition — and across fabric backends,
-  // whose constructors share the same one-draw-iff-jitter contract.
-  if (ResolvesToSparseFabric(options_, n)) {
-    fabric_ = std::make_unique<net::SparseFabric>(
-        topo_, options_.latency_jitter_sigma, &rng_, options_.sparse_options);
-  } else {
-    fabric_ = std::make_unique<net::NetworkFabric>(
-        topo_, options_.latency_jitter_sigma, &rng_);
-  }
+  // bit-identical across the decomposition — and across base stores,
+  // which share the fabric's one-draw-iff-jitter contract.
+  fabric_ = std::make_unique<net::NetworkFabric>(
+      topo_, options_.latency_jitter_sigma, &rng_);
 
   coords::CoordinateManager::Params cp;
   cp.spec = options_.space_spec;
@@ -226,7 +212,7 @@ void Sbon::Tick(double dt) {
   UpdateScalarMetrics();
 }
 
-void Sbon::TickNetwork(ThreadPool* pool) { fabric_->TickNetwork(&rng_, pool); }
+void Sbon::TickNetwork() { fabric_->TickNetwork(&rng_); }
 
 void Sbon::UpdateCoordinatesOnline(size_t samples_per_node, ThreadPool* pool) {
   coords_->UpdateCoordinatesOnline(fabric_->live(), samples_per_node, alive_,

@@ -15,7 +15,6 @@
 #include "net/dynamics.h"
 #include "net/fabric.h"
 #include "net/shortest_path.h"
-#include "net/sparse_fabric.h"
 #include "net/topology.h"
 #include "overlay/circuit.h"
 #include "overlay/metrics.h"
@@ -24,18 +23,14 @@
 
 namespace sbon::overlay {
 
-/// Cumulative counters of the dirty-driven index refresh (owned by
-/// coords::CoordinateManager; aliased here for the overlay-facing API).
-using IndexRefreshStats = coords::IndexRefreshStats;
-
 /// The stream-based overlay network: the runtime that optimizers operate
 /// against. A thin composition root wiring three independently ownable
 /// substrates behind one facade:
 ///
-///  - a net::FabricBackend — pristine + live latency views, per-epoch
-///    congestion jitter, soft-partition overlay (the TickNetwork path).
-///    Dense (materialized matrices) by default; the sparse generative
-///    backend takes over above Options::sparse_auto_threshold nodes;
+///  - net::NetworkFabric — pristine + live latency views, per-epoch
+///    congestion jitter, soft-partition overlay (the TickNetwork path);
+///    a materialized base up to net::kMaterializeMaxNodes nodes, a landmark
+///    sketch above;
 ///  - coords::CoordinateManager — Vivaldi/MDS embedding, cost space,
 ///    coordinate index, dirty-coordinate tracking, epsilon-gated refresh;
 ///  - overlay::ServiceLedger — circuits, service instances, reuse catalog,
@@ -51,20 +46,12 @@ using IndexRefreshStats = coords::IndexRefreshStats;
 /// (see each substrate's contract).
 class Sbon {
  public:
-  /// How vector coordinates are obtained (owned by the coords substrate;
-  /// aliased for source compatibility with `Sbon::CoordMode::...`).
-  using CoordMode = coords::CoordMode;
-
-  /// Which latency-substrate representation backs the overlay.
-  enum class FabricMode {
-    kAuto,    ///< dense up to sparse_auto_threshold nodes, sparse above
-    kDense,   ///< force materialized O(n^2) matrices (net::NetworkFabric)
-    kSparse,  ///< force the generative O(n) backend (net::SparseFabric)
-  };
-
   struct Options {
     coords::CostSpaceSpec space_spec = coords::CostSpaceSpec::LatencyAndLoad();
-    CoordMode coord_mode = CoordMode::kVivaldi;
+    /// MDS / true coordinates are centralized solves over every exact
+    /// pair and need a materialized latency base: Create rejects them above
+    /// net::kMaterializeMaxNodes nodes.
+    coords::CoordMode coord_mode = coords::CoordMode::kVivaldi;
     coords::VivaldiSystem::Params vivaldi_params;
     coords::VivaldiRunOptions vivaldi_run;
     /// Hilbert-curve resolution of the coordinate index, in [1, 16] bits
@@ -75,22 +62,10 @@ class Sbon {
     /// Must be > 0 (validated at Create).
     double load_per_byte_per_s = 2e-6;
     /// Sigma of the multiplicative (approximately LogNormal; see
-    /// net::LatencyJitter) latency jitter applied per pair on every
+    /// net::JitterFactorAt) latency jitter applied per pair on every
     /// `TickNetwork` epoch (0 = static latencies). Must be >= 0 (validated
     /// at Create).
     double latency_jitter_sigma = 0.0;
-    /// Latency-substrate backend selection. kAuto keeps the dense matrices
-    /// (exact, O(1) reads) up to `sparse_auto_threshold` nodes and switches
-    /// to the sparse generative backend above it — the size where two
-    /// N x N double matrices start crowding out everything else. The sparse
-    /// backend requires Vivaldi coordinates (validated at Create): the MDS /
-    /// true-coordinate ablations are centralized O(n^2) solves that need a
-    /// dense matrix anyway.
-    FabricMode fabric_mode = FabricMode::kAuto;
-    size_t sparse_auto_threshold = 4096;
-    /// Tuning of the sparse backend when it is selected (exact-vs-sketch
-    /// threshold, landmark count, cache geometry). Ignored by the dense one.
-    net::SparseFabric::Options sparse_options;
     uint64_t seed = 1;
   };
 
@@ -105,7 +80,7 @@ class Sbon {
 
   // --- substrate accessors ---
   const net::Topology& topology() const { return topo_; }
-  const net::FabricBackend& fabric() const { return *fabric_; }
+  const net::NetworkFabric& fabric() const { return *fabric_; }
   const coords::CoordinateManager& coords() const { return *coords_; }
   /// Mutable coordinate substrate, for the message-mode runtime
   /// (msg::Runtime) whose agents drive Vivaldi updates and ring publishes
@@ -201,12 +176,10 @@ class Sbon {
   // --- dynamics (the engine's epoch-pipeline stages) ---
   /// Advances ambient load by `dt` and refreshes cost-space scalar metrics.
   void Tick(double dt);
-  /// Starts a new latency epoch: resamples pairwise jitter factors (when
-  /// `latency_jitter_sigma > 0`) and rewrites the live latency matrix.
-  /// Everything downstream — circuit costs, reopt, Vivaldi samples — sees
-  /// the new latencies immediately. `pool` shards the O(n^2) factor
-  /// generation and matrix rewrite by row.
-  void TickNetwork(ThreadPool* pool = nullptr);
+  /// Starts a new latency epoch: draws a fresh jitter seed (when
+  /// `latency_jitter_sigma > 0`). Everything downstream — circuit costs,
+  /// reopt, Vivaldi samples — sees the new latencies immediately. O(1).
+  void TickNetwork();
   /// Online coordinate maintenance: every node takes `samples_per_node`
   /// RTT measurements against the *current* (jittered) latencies and runs
   /// Vivaldi updates, then the cost space is refreshed. No-op when the
@@ -227,7 +200,7 @@ class Sbon {
   /// fresh scalars. `pool` shards the displacement scan.
   void RefreshIndex(double epsilon = 0.0, ThreadPool* pool = nullptr);
   /// Ring traffic the refreshes performed/avoided so far.
-  const IndexRefreshStats& index_refresh_stats() const {
+  const coords::IndexRefreshStats& index_refresh_stats() const {
     return coords_->refresh_stats();
   }
 
@@ -257,7 +230,7 @@ class Sbon {
   net::Topology topo_;
   Options options_;
   Rng rng_;
-  std::unique_ptr<net::FabricBackend> fabric_;
+  std::unique_ptr<net::NetworkFabric> fabric_;
   std::unique_ptr<coords::CoordinateManager> coords_;
   std::unique_ptr<ServiceLedger> ledger_;
   std::unique_ptr<net::LoadModel> load_model_;

@@ -367,42 +367,37 @@ TEST_F(SbonChurnTest, PartitionPenaltySurvivesTickNetwork) {
 
 // Regression: a crash + rejoin *during* an active partition must not leak
 // into latency state — EndPartition has to restore the exact (bitwise)
-// pre-partition live latencies, on both fabric backends. Node liveness and
-// the latency substrate are independent books; a rejoin that nudged jitter
-// or partition state would show up here as a single differing ulp.
+// pre-partition live latencies. Node liveness and the latency substrate are
+// independent books; a rejoin that nudged jitter or partition state would
+// show up here as a single differing ulp.
 TEST_F(SbonChurnTest, CrashRejoinDuringPartitionRestoresExactLatencies) {
-  for (const auto mode : {overlay::Sbon::FabricMode::kDense,
-                          overlay::Sbon::FabricMode::kSparse}) {
-    overlay::Sbon::Options opts;
-    opts.latency_jitter_sigma = 0.1;
-    opts.fabric_mode = mode;
-    auto sbon = MakeTransitStubSbon(TopologySize::kTiny, 7, opts);
-    const size_t n = sbon->topology().NumNodes();
-    sbon->TickNetwork();  // a real congestion epoch, not pristine base
+  overlay::Sbon::Options opts;
+  opts.latency_jitter_sigma = 0.1;
+  auto sbon = MakeTransitStubSbon(TopologySize::kTiny, 7, opts);
+  const size_t n = sbon->topology().NumNodes();
+  sbon->TickNetwork();  // a real congestion epoch, not pristine base
 
-    std::vector<double> before(n * n);
-    for (NodeId a = 0; a < n; ++a) {
-      for (NodeId b = 0; b < n; ++b) {
-        before[a * n + b] = sbon->latency().Latency(a, b);
-      }
+  std::vector<double> before(n * n);
+  for (NodeId a = 0; a < n; ++a) {
+    for (NodeId b = 0; b < n; ++b) {
+      before[a * n + b] = sbon->latency().Latency(a, b);
     }
+  }
 
-    const auto& nodes = sbon->overlay_nodes();
-    std::vector<NodeId> group(nodes.begin(), nodes.begin() + 3);
-    ASSERT_TRUE(sbon->BeginPartition(group, 10.0).ok());
-    const NodeId victim = group[1];
-    ASSERT_TRUE(sbon->FailNode(victim).ok());
-    ASSERT_TRUE(sbon->RejoinNode(victim).ok());
-    ASSERT_TRUE(sbon->partition_active());
-    ASSERT_TRUE(sbon->EndPartition().ok());
+  const auto& nodes = sbon->overlay_nodes();
+  std::vector<NodeId> group(nodes.begin(), nodes.begin() + 3);
+  ASSERT_TRUE(sbon->BeginPartition(group, 10.0).ok());
+  const NodeId victim = group[1];
+  ASSERT_TRUE(sbon->FailNode(victim).ok());
+  ASSERT_TRUE(sbon->RejoinNode(victim).ok());
+  ASSERT_TRUE(sbon->partition_active());
+  ASSERT_TRUE(sbon->EndPartition().ok());
 
-    for (NodeId a = 0; a < n; ++a) {
-      for (NodeId b = 0; b < n; ++b) {
-        EXPECT_EQ(sbon->latency().Latency(a, b), before[a * n + b])
-            << "pair (" << a << "," << b << ") drifted after "
-            << "crash+rejoin under partition on "
-            << sbon->fabric().name();
-      }
+  for (NodeId a = 0; a < n; ++a) {
+    for (NodeId b = 0; b < n; ++b) {
+      EXPECT_EQ(sbon->latency().Latency(a, b), before[a * n + b])
+          << "pair (" << a << "," << b << ") drifted after "
+          << "crash+rejoin under partition";
     }
   }
 }

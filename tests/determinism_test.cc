@@ -134,7 +134,7 @@ TEST(DeterminismTest, ChurnFreeAdvanceEpochIsBitIdenticalWithModelAttached) {
     o.seed = kSeed;
     o.sbon.latency_jitter_sigma = 0.1;
     ScenarioRunner run(o);
-    run.UseRandomCatalog(TestWorkloadParams(), 3);
+    run.UseSeededCatalog(TestWorkloadParams(), 3);
     const auto queries =
         MakeQueries(run.sbon(), run.catalog(), TestWorkloadParams(), 3, 11);
     for (const auto& q : queries) {
@@ -169,7 +169,7 @@ TEST(DeterminismTest, EpochPipelineIsThreadCountInvariant) {
       o.seed = seed;
       o.sbon.latency_jitter_sigma = 0.15;
       ScenarioRunner run(o);
-      run.UseRandomCatalog(TestWorkloadParams(), 3);
+      run.UseSeededCatalog(TestWorkloadParams(), 3);
       const auto queries =
           MakeQueries(run.sbon(), run.catalog(), TestWorkloadParams(), 3, 11);
       for (const auto& q : queries) {
@@ -212,7 +212,7 @@ TEST(DeterminismTest, EndToEndPlacementIsBitIdentical) {
     o.size = TopologySize::kTiny;
     o.seed = kSeed;
     ScenarioRunner run(o);
-    run.UseRandomCatalog(TestWorkloadParams(), 3);
+    run.UseSeededCatalog(TestWorkloadParams(), 3);
     const auto queries =
         MakeQueries(run.sbon(), run.catalog(), TestWorkloadParams(), 3, 11);
     for (const auto& q : queries) {

@@ -28,7 +28,7 @@ ScenarioOptions SmallScenario(uint64_t seed) {
 
 TEST(E2ETwoStepVsIntegrated, IntegratedEstimateNeverWorse) {
   ScenarioRunner run(SmallScenario(101));
-  run.UseRandomCatalog(TestWorkloadParams(), 7);
+  run.UseSeededCatalog(TestWorkloadParams(), 7);
   const auto queries =
       MakeQueries(run.sbon(), run.catalog(), TestWorkloadParams(), 6, 11);
   for (const auto& q : queries) {
@@ -46,7 +46,7 @@ TEST(E2ETwoStepVsIntegrated, IntegratedEstimateNeverWorse) {
 
 TEST(E2ETwoStepVsIntegrated, BothInstallWithValidTrueCost) {
   ScenarioRunner run(SmallScenario(102));
-  run.UseRandomCatalog(TestWorkloadParams(), 3);
+  run.UseSeededCatalog(TestWorkloadParams(), 3);
   const auto queries =
       MakeQueries(run.sbon(), run.catalog(), TestWorkloadParams(), 2, 5);
 
@@ -100,7 +100,7 @@ TEST(E2EMultiQuery, SequentialWorkloadReuseReducesServices) {
     ScenarioOptions opts = SmallScenario(104);
     opts.multi_query.reuse_radius = radius;
     ScenarioRunner run(opts);
-    run.UseRandomCatalog(TestWorkloadParams(6), 21);
+    run.UseSeededCatalog(TestWorkloadParams(6), 21);
     const auto& nodes = run.sbon().overlay_nodes();
     const std::vector<query::QuerySpec> base = {
         query::QuerySpec::SimpleJoin({0, 1, 2}, nodes[0], 0.001),
@@ -130,7 +130,7 @@ TEST(E2EChurnReopt, LocalReoptNeverRaisesEstimatedCost) {
   opts.sbon.latency_jitter_sigma = 0.3;
   opts.sbon.load_params.sigma = 0.2;
   ScenarioRunner run(opts);
-  run.UseRandomCatalog(TestWorkloadParams(), 13);
+  run.UseSeededCatalog(TestWorkloadParams(), 13);
   const auto queries =
       MakeQueries(run.sbon(), run.catalog(), TestWorkloadParams(), 3, 17);
   std::vector<CircuitId> ids;
@@ -162,7 +162,7 @@ TEST(E2EChurnReopt, FullReoptRedeploysConsistently) {
   opts.sbon.latency_jitter_sigma = 0.5;
   opts.sbon.load_params.sigma = 0.3;
   ScenarioRunner run(opts);
-  run.UseRandomCatalog(TestWorkloadParams(), 19);
+  run.UseSeededCatalog(TestWorkloadParams(), 19);
   const auto queries =
       MakeQueries(run.sbon(), run.catalog(), TestWorkloadParams(), 2, 23);
   auto rec = run.PlaceAndInstall(OptimizerKind::kIntegrated, queries[0]);
@@ -205,7 +205,7 @@ TEST(E2EGolden, FixedSeedPlacementFingerprint) {
                   "(gcc, unsanitized); invariants still covered below";
 #endif
   ScenarioRunner run(SmallScenario(42));
-  run.UseRandomCatalog(TestWorkloadParams(8), 5);
+  run.UseSeededCatalog(TestWorkloadParams(8), 5);
   const auto queries =
       MakeQueries(run.sbon(), run.catalog(), TestWorkloadParams(8), 3, 9);
   run.PlaceAndInstall(OptimizerKind::kTwoStep, queries[0]);

@@ -224,7 +224,7 @@ TEST(StreamEngine, SnapshotAggregatesPerQueryAndEngineState) {
 
 TEST(StreamEngine, AdvanceEpochEpsilonGatesRingRepublishes) {
   auto engine = MakeEngine(SmallEngineOptions(41));
-  const overlay::IndexRefreshStats& stats =
+  const coords::IndexRefreshStats& stats =
       engine->sbon().index_refresh_stats();
 
   // Static ambient load (sigma 0, load at its mean) and no jitter: the
@@ -281,12 +281,14 @@ TEST(StreamEngine, AdvanceEpochRecordsTheStagedPipeline) {
   for (const auto& stage : trace) EXPECT_FALSE(stage.sharded);
 
   // Multi-threaded epoch: exactly the parallelizable stages shard; the
-  // serial-only stages (load, churn+repair) never see the pool.
+  // serial-only stages (the O(1) jitter seed draw, load, churn+repair) never
+  // see the pool.
   epoch.threads = 4;
   engine->AdvanceEpoch(epoch);
   const auto& sharded = engine->last_epoch_trace();
   ASSERT_EQ(sharded.size(), 5u);
-  EXPECT_TRUE(sharded[0].sharded);   // jitter
+  EXPECT_TRUE(sharded[0].ran);
+  EXPECT_FALSE(sharded[0].sharded);  // jitter
   EXPECT_FALSE(sharded[1].sharded);  // load
   EXPECT_TRUE(sharded[2].sharded);   // coords
   EXPECT_FALSE(sharded[3].sharded);  // churn+repair (disabled anyway)

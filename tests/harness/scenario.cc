@@ -47,7 +47,7 @@ const char* OptimizerKindName(OptimizerKind kind) {
 ScenarioRunner::ScenarioRunner(ScenarioOptions options)
     : options_(std::move(options)), engine_(MakeEngineOrDie(options_)) {}
 
-const query::Catalog& ScenarioRunner::UseRandomCatalog(
+const query::Catalog& ScenarioRunner::UseSeededCatalog(
     const query::WorkloadParams& params, uint64_t seed) {
   engine_->SetCatalog(MakeCatalog(engine_->sbon(), params, seed));
   return engine_->catalog();

@@ -65,7 +65,7 @@ class ScenarioRunner {
   const ScenarioOptions& options() const { return options_; }
 
   /// Installs a seeded random catalog (see MakeCatalog) and returns it.
-  const query::Catalog& UseRandomCatalog(const query::WorkloadParams& params,
+  const query::Catalog& UseSeededCatalog(const query::WorkloadParams& params,
                                          uint64_t seed);
   /// Installs a caller-built catalog.
   const query::Catalog& UseCatalog(query::Catalog catalog);

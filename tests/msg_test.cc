@@ -35,7 +35,7 @@ namespace {
 
 // ----------------------------- MessageBus -----------------------------
 
-/// A dense fabric over the tiny transit-stub topology, jitter-free so
+/// The latency fabric over the tiny transit-stub topology, jitter-free so
 /// latencies are exact and stable across ticks.
 struct BusFixture {
   BusFixture()

@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "net/dynamics.h"
+#include "net/fabric.h"
 #include "net/generators.h"
 #include "net/shortest_path.h"
 #include "net/topology.h"
@@ -360,40 +361,79 @@ TEST(LoadModelTest, SetLoadClamps) {
   EXPECT_DOUBLE_EQ(m.load(0), 0.0);
 }
 
-TEST(LatencyJitterTest, SymmetricFactors) {
+// ---------------------------- Jitter ----------------------------
+// Congestion jitter is generative: JitterFactorAt derives a pair's factor
+// from the epoch seed and the pair's upper-triangle index, and the fabric's
+// live view applies it at read time.
+
+// A ring of `n` hosts with uneven link latencies (every pair reachable).
+Topology JitterRing(size_t n) {
+  Topology t;
+  for (size_t i = 0; i < n; ++i) t.AddNode(NodeKind::kHost);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(t.AddLink(static_cast<NodeId>(i),
+                          static_cast<NodeId>((i + 1) % n),
+                          1.0 + static_cast<double>(i % 7))
+                    .ok());
+  }
+  return t;
+}
+
+TEST(JitterTest, SymmetricFactors) {
   Rng rng(47);
-  LatencyJitter j(20, 0.2, &rng);
+  NetworkFabric fabric(JitterRing(20), 0.2, &rng);
+  fabric.TickNetwork(&rng);
   for (NodeId a = 0; a < 20; ++a) {
     for (NodeId b = 0; b < 20; ++b) {
-      EXPECT_DOUBLE_EQ(j.Factor(a, b), j.Factor(b, a));
+      // Bitwise: both orders resolve through the same base entry and the
+      // same factor index.
+      EXPECT_EQ(fabric.live().Latency(a, b), fabric.live().Latency(b, a));
     }
   }
 }
 
-TEST(LatencyJitterTest, ZeroSigmaIsIdentity) {
+TEST(JitterTest, ZeroSigmaIsIdentity) {
+  for (size_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(JitterFactorAt(/*epoch_seed=*/53 + i, 0.0, i), 1.0);
+  }
   Rng rng(53);
-  LatencyJitter j(10, 0.0, &rng);
+  Rng twin(53);
+  NetworkFabric fabric(JitterRing(10), 0.0, &rng);
+  fabric.TickNetwork(&rng);
+  EXPECT_EQ(rng.Next(), twin.Next()) << "a jitter-free fabric drew from rng";
   for (NodeId a = 0; a < 10; ++a) {
     for (NodeId b = 0; b < 10; ++b) {
-      EXPECT_DOUBLE_EQ(j.Apply(a, b, 7.0), 7.0);
+      EXPECT_EQ(fabric.live().Latency(a, b), fabric.base().Latency(a, b));
     }
   }
 }
 
-TEST(LatencyJitterTest, ResampleChangesFactors) {
+TEST(JitterTest, TickChangesFactors) {
   Rng rng(59);
-  LatencyJitter j(10, 0.5, &rng);
-  const double before = j.Factor(1, 2);
-  j.Resample(&rng);
-  EXPECT_NE(before, j.Factor(1, 2));
+  NetworkFabric fabric(JitterRing(10), 0.5, &rng);
+  fabric.TickNetwork(&rng);
+  const double before = fabric.live().Latency(1, 2);
+  fabric.TickNetwork(&rng);
+  EXPECT_NE(before, fabric.live().Latency(1, 2));
+  const size_t i = JitterPairIndex(1, 2, 10);
+  EXPECT_NE(JitterFactorAt(1, 0.5, i), JitterFactorAt(2, 0.5, i));
 }
 
-TEST(LatencyJitterTest, FactorsPositive) {
+TEST(JitterTest, FactorsPositive) {
+  const size_t n = 30;
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    for (NodeId a = 0; a < n; ++a) {
+      for (NodeId b = a + 1; b < n; ++b) {
+        EXPECT_GT(JitterFactorAt(seed, 0.8, JitterPairIndex(a, b, n)), 0.0);
+      }
+    }
+  }
   Rng rng(61);
-  LatencyJitter j(30, 0.8, &rng);
-  for (NodeId a = 0; a < 30; ++a) {
-    for (NodeId b = a + 1; b < 30; ++b) {
-      EXPECT_GT(j.Factor(a, b), 0.0);
+  NetworkFabric fabric(JitterRing(n), 0.8, &rng);
+  fabric.TickNetwork(&rng);
+  for (NodeId a = 0; a < n; ++a) {
+    for (NodeId b = a + 1; b < n; ++b) {
+      EXPECT_GT(fabric.live().Latency(a, b), 0.0);
     }
   }
 }

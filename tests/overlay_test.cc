@@ -455,7 +455,7 @@ TEST(SbonTest, MdsCoordModeWorks) {
   auto topo = net::GenerateLine(6, 10.0);
   ASSERT_TRUE(topo.ok());
   Sbon::Options opts;
-  opts.coord_mode = Sbon::CoordMode::kMds;
+  opts.coord_mode = coords::CoordMode::kMds;
   auto s = Sbon::Create(std::move(topo.value()), opts);
   ASSERT_TRUE(s.ok());
   // MDS on a line should embed near-perfectly: check end-to-end distance.
