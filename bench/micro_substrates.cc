@@ -51,18 +51,19 @@ void BM_HilbertDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_HilbertDecode)->Arg(2)->Arg(3)->Arg(4)->Arg(6);
 
-void BM_ChordLookup(benchmark::State& state) {
+// Routes random (key, origin) pairs over an n-member ring whose keys come
+// from `draw`; reports the mean hop count.
+template <typename Draw>
+void ChordLookupLoop(benchmark::State& state, Rng* rng, Draw draw) {
   const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(3);
   dht::ChordRing ring;
   for (size_t i = 0; i < n; ++i) {
-    ring.Join(dht::HashU64(rng.Next()), static_cast<NodeId>(i));
+    ring.Join(draw(rng), static_cast<NodeId>(i));
   }
   ring.Stabilize();
   size_t hops = 0, lookups = 0;
   for (auto _ : state) {
-    auto r = ring.Lookup(dht::HashU64(rng.Next()),
-                         dht::HashU64(rng.Next()));
+    auto r = ring.Lookup(draw(rng), draw(rng));
     benchmark::DoNotOptimize(r);
     hops += r.ok() ? r->hops : 0;
     ++lookups;
@@ -70,20 +71,53 @@ void BM_ChordLookup(benchmark::State& state) {
   state.counters["hops"] =
       benchmark::Counter(static_cast<double>(hops) / lookups);
 }
+
+// Uniform 128-bit ring keys.
+void BM_ChordLookup(benchmark::State& state) {
+  Rng rng(3);
+  ChordLookupLoop(state, &rng,
+                  [](Rng* r) { return dht::HashU64(r->Next()); });
+}
 BENCHMARK(BM_ChordLookup)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_ChordStabilize(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(4);
-  dht::ChordRing ring;
-  for (size_t i = 0; i < n; ++i) {
-    ring.Join(dht::HashU64(rng.Next()), static_cast<NodeId>(i));
-  }
-  for (auto _ : state) {
-    ring.Stabilize();
-  }
+// Hilbert-range keys (3 dims x 10 bits = 30 low bits), the key space the
+// coordinate index publishes into.
+void BM_ChordLookupHilbert(benchmark::State& state) {
+  Rng rng(3);
+  ChordLookupLoop(state, &rng, [](Rng* r) {
+    return dht::U128::FromU64(r->Next() & ((1ULL << 30) - 1));
+  });
 }
-BENCHMARK(BM_ChordStabilize)->Arg(64)->Arg(256);
+BENCHMARK(BM_ChordLookupHilbert)->Arg(64)->Arg(256)->Arg(1024);
+
+// A busy refresh epoch at ring scale: every member republishes under a
+// fresh Hilbert-range key (3 dims x 10 bits = 30 low bits), one Republish
+// plus Stabilize per iteration. Batches are pre-drawn and rotated so the
+// loop times the ring alone.
+void BM_ChordRepublish(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  constexpr uint64_t kKeyMask = (1ULL << 30) - 1;
+  Rng rng(4);
+  std::vector<std::vector<dht::ChordRing::Member>> batches(4);
+  for (auto& batch : batches) {
+    for (size_t i = 0; i < n; ++i) {
+      batch.push_back(dht::ChordRing::Member{
+          dht::U128::FromU64(rng.Next() & kKeyMask), static_cast<NodeId>(i)});
+    }
+  }
+  dht::ChordRing ring;
+  ring.Republish(batches[0]);
+  ring.Stabilize();
+  size_t round = 0;
+  for (auto _ : state) {
+    ring.Republish(batches[++round & 3]);
+    ring.Stabilize();
+    benchmark::DoNotOptimize(ring.members().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
+}
+BENCHMARK(BM_ChordRepublish)->Arg(256)->Arg(1024)->Arg(4096);
 
 dht::CoordinateIndex MakeIndex(size_t n, Rng* rng) {
   std::vector<Vec> coords;

@@ -227,6 +227,10 @@ EpochLoopResult RunEpochLoop(size_t nodes, size_t queries, size_t epochs,
   const coords::IndexRefreshStats after = sbon.index_refresh_stats();
   out.refresh.refreshes = after.refreshes - before.refreshes;
   out.refresh.republished = after.republished - before.republished;
+  out.refresh.republished_vector =
+      after.republished_vector - before.republished_vector;
+  out.refresh.republished_scalar =
+      after.republished_scalar - before.republished_scalar;
   out.refresh.skipped = after.skipped - before.skipped;
   out.refresh.quiet_refreshes =
       after.quiet_refreshes - before.quiet_refreshes;
@@ -890,11 +894,13 @@ int main(int argc, char** argv) {
                                  exec);
     std::printf(
         "epsilon=%-4g  %10.0f ns/epoch  %10.0f ns/submit  %zu queries\n"
-        "              republished=%zu skipped=%zu quiet_refreshes=%zu/%zu\n",
+        "              republished=%zu (vector=%zu scalar=%zu) skipped=%zu "
+        "quiet_refreshes=%zu/%zu\n",
         epsilon, primary.ns_per_epoch, primary.ns_per_submit,
         primary.queries_running, primary.refresh.republished,
-        primary.refresh.skipped, primary.refresh.quiet_refreshes,
-        primary.refresh.refreshes);
+        primary.refresh.republished_vector,
+        primary.refresh.republished_scalar, primary.refresh.skipped,
+        primary.refresh.quiet_refreshes, primary.refresh.refreshes);
 
     sbon::bench::Section("Epoch+Submit throughput (epsilon=0: every change)");
     eps0 = sbon::RunEpochLoop(nodes, queries, epochs, 0.0,
@@ -1233,6 +1239,8 @@ int main(int argc, char** argv) {
           "  \"ns_per_epoch_eps0\": %.1f,\n"
           "  \"allocs_per_epoch\": %.1f,\n"
           "  \"republished\": %zu,\n"
+          "  \"republished_vector\": %zu,\n"
+          "  \"republished_scalar\": %zu,\n"
           "  \"republish_skipped\": %zu,\n"
           "  \"quiet_refreshes\": %zu,\n"
           "  \"refreshes\": %zu,\n"
@@ -1260,7 +1268,8 @@ int main(int argc, char** argv) {
           "  },\n",
           epsilon, primary.ns_per_epoch, primary.ns_per_submit,
           eps0.ns_per_epoch, primary.allocs_per_epoch,
-          primary.refresh.republished, primary.refresh.skipped,
+          primary.refresh.republished, primary.refresh.republished_vector,
+          primary.refresh.republished_scalar, primary.refresh.skipped,
           primary.refresh.quiet_refreshes, primary.refresh.refreshes,
           vivaldi_allocs, knearest_allocs, hw_threads, par_threads,
           pipe1.ns_per_epoch, pipeN.ns_per_epoch, speedup_buf,

@@ -8,14 +8,6 @@
 
 namespace sbon::coords {
 
-namespace {
-// Mass-publish batches at or above this size go through the ring's bulk
-// window (O(log m) per publish instead of O(m) vector splices). Below it
-// the window's map build would cost more allocations than it saves; the
-// final ring is bit-identical either way, so this is purely a perf knob.
-constexpr size_t kBulkPublishThreshold = 2048;
-}  // namespace
-
 StatusOr<std::unique_ptr<CoordinateManager>> CoordinateManager::Build(
     Params params, const net::LatencyView& lat, Rng* rng) {
   const size_t n = lat.NumNodes();
@@ -80,13 +72,10 @@ void CoordinateManager::BuildIndex(const std::vector<NodeId>& overlay_nodes) {
   }
   index_ = std::make_unique<dht::CoordinateIndex>(
       dht::HilbertQuantizer::FitTo(box_points, params_.hilbert_bits));
-  const bool bulk = overlay_nodes.size() >= kBulkPublishThreshold;
-  if (bulk) index_->BeginBulkUpdate();
   for (size_t k = 0; k < overlay_nodes.size(); ++k) {
-    index_->Publish(overlay_nodes[k], full_coords[k]);
     last_published_.SetNode(overlay_nodes[k], full_coords[k]);
   }
-  if (bulk) index_->EndBulkUpdate();
+  index_->Republish(overlay_nodes, last_published_);
   index_->Stabilize();
 }
 
@@ -241,25 +230,34 @@ void CoordinateManager::RefreshIndex(const std::vector<NodeId>& overlay_nodes,
       }
     });
   }
-  // Phase 2 — serial re-publish in node order (ring mutation), identical to
-  // the order the legacy single-pass refresh issued. Bulk window: a busy
-  // epoch republishes most of the overlay, and per-publish vector splices
-  // would make the refresh O(m^2) at large N.
-  size_t republished = 0;
-  const bool bulk = m >= kBulkPublishThreshold;
-  if (bulk) index_->BeginBulkUpdate();
+  // Phase 2 — serial batch assembly in node order, then one index
+  // Republish from the updated last-published block. Each republish is attributed to the
+  // vector part when that part alone moved beyond epsilon, else to the load
+  // scalars (read before last_published_ is overwritten; dims-ascending
+  // like the full scan).
+  const size_t vector_dims = params_.spec.vector_dims();
+  publish_nodes_.clear();
   for (size_t k = 0; k < m; ++k) {
-    if (dirty_[k]) {
-      const NodeId n = overlay_nodes[k];
-      const Vec full = full_block_.NodeVec(k);
-      index_->Publish(n, full);
-      last_published_.SetNode(n, full);
-      ++republished;
-    } else {
+    if (!dirty_[k]) {
       refresh_stats_.skipped += 1;
+      continue;
     }
+    const NodeId n = overlay_nodes[k];
+    double vector_d2 = 0.0;
+    for (size_t d = 0; d < vector_dims; ++d) {
+      const double diff = full_block_.At(d, k) - last_published_.At(d, n);
+      vector_d2 += diff * diff;
+    }
+    if (vector_d2 > eps2) {
+      refresh_stats_.republished_vector += 1;
+    } else {
+      refresh_stats_.republished_scalar += 1;
+    }
+    last_published_.SetNode(n, full_block_.NodeVec(k));
+    publish_nodes_.push_back(n);
   }
-  if (bulk) index_->EndBulkUpdate();
+  const size_t republished = publish_nodes_.size();
+  index_->Republish(publish_nodes_, last_published_);
   refresh_stats_.republished += republished;
   if (republished > 0) {
     index_->Stabilize();

@@ -31,6 +31,11 @@ enum class CoordMode {
 struct IndexRefreshStats {
   size_t refreshes = 0;        ///< RefreshIndex calls
   size_t republished = 0;      ///< ring re-publishes actually issued
+  /// Republish reasons (they sum to `republished`): the vector part alone
+  /// moved more than epsilon, or only the load scalars pushed the full
+  /// displacement past it.
+  size_t republished_vector = 0;
+  size_t republished_scalar = 0;
   size_t skipped = 0;          ///< node refreshes elided (moved <= epsilon)
   size_t quiet_refreshes = 0;  ///< refreshes with zero re-publishes (no
                                ///< ring Leave/Join and no restabilization)
@@ -102,7 +107,9 @@ class CoordinateManager {
   /// overlay node displaced more than `epsilon` (cost-space units) since
   /// its last publish, then restabilizes the ring — unless nothing moved,
   /// in which case the ring is left entirely untouched. The displacement
-  /// scan shards over `pool`; publishes stay serial in node order.
+  /// scan shards over `pool`; the displaced nodes are republished in node
+  /// order as one index Republish batch, and each republish is attributed
+  /// to its reason in refresh_stats().
   void RefreshIndex(const std::vector<NodeId>& overlay_nodes, double epsilon,
                     ThreadPool* pool = nullptr);
 
@@ -176,6 +183,7 @@ class CoordinateManager {
                                      ///< positional (slot k = overlay_nodes[k])
   std::vector<double> disp_scratch_; ///< squared displacement per slot
   std::vector<uint8_t> dirty_;       ///< per overlay node: moved > epsilon
+  std::vector<NodeId> publish_nodes_; ///< refresh's dirty nodes, node order
 };
 
 }  // namespace sbon::coords

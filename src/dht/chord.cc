@@ -1,6 +1,7 @@
 #include "dht/chord.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace sbon::dht {
@@ -13,49 +14,51 @@ bool InIntervalOpenClosed(const U128& x, const U128& a, const U128& b) {
   return (x - a) <= (b - a);
 }
 
+bool KeyLess(const ChordRing::Member& m, const U128& k) { return m.key < k; }
+
+// The duplicate-key perturbation stride: odd, so repeated steps from one
+// key never revisit it.
+U128 PerturbStep(NodeId node) {
+  return U128::FromU64((static_cast<uint64_t>(node) << 1) | 1);
+}
+
+// floor(log2(x)) for x != 0.
+unsigned FloorLog2(const U128& x) {
+  assert(x != U128());
+  return x.hi != 0 ? 127u - static_cast<unsigned>(std::countl_zero(x.hi))
+                   : 63u - static_cast<unsigned>(std::countl_zero(x.lo));
+}
+
+// SplitMix64 finalizer over both halves: Hilbert keys use only the low
+// bits, so the set's slot index must mix them.
+uint64_t MixKey(const U128& k) {
+  uint64_t x = k.lo ^ (k.hi * 0x9E3779B97F4A7C15ULL);
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ULL;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBULL;
+  x ^= x >> 31;
+  return x;
+}
+
 }  // namespace
 
 void ChordRing::Join(U128 key, NodeId node) {
-  if (in_bulk_) {
-    // Same perturbation rule against the map: "does this exact key exist?"
-    // is what the vector's lower_bound equality probe asks, so the final
-    // key assignment is identical to the sequential vector path.
-    U128 k = key;
-    while (bulk_members_.count(k) != 0) {
-      k = k + U128::FromU64((static_cast<uint64_t>(node) << 1) | 1);
-    }
-    bulk_members_.emplace(k, node);
-    bulk_key_of_[node] = k;
-    stale_ = true;
-    return;
-  }
   // Perturb exact duplicates so every member has a unique ring key.
   // `members_` stays sorted by key, so existence is a binary search and the
   // new member is spliced in at its lower bound instead of re-sorting the
   // whole ring on every join.
-  const auto key_less = [](const Member& m, const U128& k) {
-    return m.key < k;
-  };
   U128 k = key;
-  auto pos = std::lower_bound(members_.begin(), members_.end(), k, key_less);
+  auto pos = std::lower_bound(members_.begin(), members_.end(), k, KeyLess);
   while (pos != members_.end() && pos->key == k) {
-    k = k + U128::FromU64((static_cast<uint64_t>(node) << 1) | 1);
-    pos = std::lower_bound(members_.begin(), members_.end(), k, key_less);
+    k = k + PerturbStep(node);
+    pos = std::lower_bound(members_.begin(), members_.end(), k, KeyLess);
   }
   members_.insert(pos, Member{k, node});
   stale_ = true;
 }
 
 void ChordRing::Leave(NodeId node) {
-  if (in_bulk_) {
-    auto it = bulk_key_of_.find(node);
-    if (it != bulk_key_of_.end()) {
-      bulk_members_.erase(it->second);
-      bulk_key_of_.erase(it);
-      stale_ = true;
-    }
-    return;
-  }
   members_.erase(std::remove_if(members_.begin(), members_.end(),
                                 [&](const Member& m) {
                                   return m.node == node;
@@ -64,51 +67,85 @@ void ChordRing::Leave(NodeId node) {
   stale_ = true;
 }
 
-void ChordRing::BeginBulk() {
-  if (in_bulk_) return;
-  in_bulk_ = true;
-  bulk_members_.clear();
-  bulk_key_of_.clear();
-  bulk_key_of_.reserve(members_.size());
-  for (const Member& m : members_) {
-    bulk_members_.emplace(m.key, m.node);
-    bulk_key_of_.emplace(m.node, m.key);
+size_t ChordRing::FreshSlot(const U128& key) const {
+  const size_t mask = fresh_slots_.size() - 1;
+  size_t slot = static_cast<size_t>(MixKey(key)) & mask;
+  while (fresh_slots_[slot] != 0 &&
+         fresh_[fresh_slots_[slot] - 1].key != key) {
+    slot = (slot + 1) & mask;
   }
+  return slot;
 }
 
-void ChordRing::EndBulk() {
-  if (!in_bulk_) return;
-  in_bulk_ = false;
-  members_.clear();
-  members_.reserve(bulk_members_.size());
-  for (const auto& [k, node] : bulk_members_) {
-    members_.push_back(Member{k, node});
+bool ChordRing::KeyLiveDuringBatch(const U128& key, size_t pos) const {
+  // Keys joined earlier in the batch.
+  if (fresh_slots_[FreshSlot(key)] != 0) return true;
+  // Pre-batch members, unless the owner already left — its Leave runs at
+  // its own batch position, so owners later in the batch still hold their
+  // old keys.
+  const auto it =
+      std::lower_bound(members_.begin(), members_.end(), key, KeyLess);
+  if (it == members_.end() || it->key != key) return false;
+  const size_t owner_pos = BatchPos(it->node);
+  return owner_pos == 0 || owner_pos > pos;
+}
+
+void ChordRing::Republish(const std::vector<Member>& batch) {
+  if (batch.empty()) return;
+  for (size_t j = 0; j < batch.size(); ++j) {
+    const NodeId node = batch[j].node;
+    if (node >= batch_pos_.size()) batch_pos_.resize(node + 1, 0);
+    assert(batch_pos_[node] == 0 && "Republish batch nodes must be distinct");
+    batch_pos_[node] = static_cast<uint32_t>(j + 1);
   }
-  bulk_members_.clear();
-  bulk_key_of_.clear();
+  // Open-addressing key set at load factor <= 1/2.
+  size_t cap = 16;
+  while (cap < 2 * batch.size()) cap <<= 1;
+  fresh_slots_.assign(cap, 0);
+
+  // Replay the sequential Leave+Join perturbation: entry j's key is
+  // perturbed while it collides with a key live at its turn.
+  fresh_.clear();
+  for (size_t j = 0; j < batch.size(); ++j) {
+    const Member& e = batch[j];
+    U128 k = e.key;
+    while (KeyLiveDuringBatch(k, j + 1)) k = k + PerturbStep(e.node);
+    fresh_.push_back(Member{k, e.node});
+    fresh_slots_[FreshSlot(k)] = static_cast<uint32_t>(fresh_.size());
+  }
+
+  // Drop the batch nodes' old entries, then merge the sorted new entries
+  // in from the back, in place. Keys are unique, so the result is the
+  // sorted membership the sequential path reaches; the vector only grows
+  // past its capacity when the ring does.
+  std::sort(fresh_.begin(), fresh_.end(),
+            [](const Member& a, const Member& b) { return a.key < b.key; });
+  members_.erase(std::remove_if(members_.begin(), members_.end(),
+                                [&](const Member& m) {
+                                  return BatchPos(m.node) != 0;
+                                }),
+                 members_.end());
+  size_t kept = members_.size();
+  size_t added = fresh_.size();
+  members_.resize(kept + added);
+  for (size_t out = kept + added; added > 0;) {
+    if (kept > 0 && fresh_[added - 1].key < members_[kept - 1].key) {
+      members_[--out] = members_[--kept];
+    } else {
+      members_[--out] = fresh_[--added];
+    }
+  }
+  for (const Member& e : batch) batch_pos_[e.node] = 0;
+  stale_ = true;
 }
 
 size_t ChordRing::SuccessorIndex(U128 key) const {
   assert(!members_.empty());
   // First member with key >= `key`, wrapping to 0.
-  const auto it = std::lower_bound(
-      members_.begin(), members_.end(), key,
-      [](const Member& m, const U128& k) { return m.key < k; });
+  const auto it =
+      std::lower_bound(members_.begin(), members_.end(), key, KeyLess);
   if (it == members_.end()) return 0;
   return static_cast<size_t>(it - members_.begin());
-}
-
-void ChordRing::Stabilize() {
-  const size_t n = members_.size();
-  fingers_.resize(n * kFingerBits);
-  uint32_t* row = fingers_.data();
-  for (size_t m = 0; m < n; ++m, row += kFingerBits) {
-    for (unsigned i = 0; i < kFingerBits; ++i) {
-      const U128 target = members_[m].key + PowerOfTwo(i);
-      row[i] = static_cast<uint32_t>(SuccessorIndex(target));
-    }
-  }
-  stale_ = false;
 }
 
 StatusOr<ChordRing::LookupResult> ChordRing::Lookup(U128 key,
@@ -133,22 +170,30 @@ StatusOr<ChordRing::LookupResult> ChordRing::Lookup(U128 key,
       break;
     }
     // Closest preceding finger: the largest finger strictly between
-    // cur_key and key.
-    size_t next = succ;
-    const uint32_t* cur_fingers = fingers_.data() + cur * kFingerBits;
-    for (unsigned i = kFingerBits; i-- > 0;) {
-      const size_t f = cur_fingers[i];
-      const U128& fkey = members_[f].key;
-      if (f != cur && InIntervalOpenClosed(fkey, cur_key, key) &&
-          fkey != key) {
-        next = f;
-        break;
+    // cur_key and key, where finger i is successor(cur_key + 2^i) — the
+    // first member at clockwise distance >= 2^i from cur_key, or cur itself
+    // if there is none. The members strictly between cur_key and key are
+    // the clockwise offsets 1 .. span-1 from cur (offset span is
+    // target_idx, at or past the key; span >= 2 since the successor test
+    // above failed). Finger i lands among them iff 2^i <= far, the
+    // distance of the farthest one, so the closest preceding finger is
+    // finger floor(log2(far)): one binary search, no scan over the bits.
+    const size_t span = (target_idx + n - cur) % n;
+    size_t last = cur + span - 1;
+    if (last >= n) last -= n;
+    const U128 reach = PowerOfTwo(FloorLog2(members_[last].key - cur_key));
+    size_t lo = 1, hi = span - 1;  // first offset at distance >= reach
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      size_t idx = cur + mid;
+      if (idx >= n) idx -= n;
+      if (members_[idx].key - cur_key < reach) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
       }
     }
-    if (next == cur) {
-      next = succ;  // fallback: always make progress
-    }
-    cur = next;
+    cur = cur + lo < n ? cur + lo : cur + lo - n;
     ++hops;
     if (hops > n + 130) {
       return Status::Internal("chord routing failed to converge");

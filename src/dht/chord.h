@@ -2,8 +2,6 @@
 #define SBON_DHT_CHORD_H_
 
 #include <cstdint>
-#include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -19,6 +17,12 @@ namespace sbon::dht {
 /// membership is held centrally, but *lookups are routed* exactly as Chord
 /// routes them — greedy closest-preceding-finger hops — so the library can
 /// account for lookup cost (hop counts) the way a deployment would pay it.
+///
+/// No finger table is stored. Finger i of a member is successor(key + 2^i),
+/// a binary search over the sorted membership, so Lookup derives the one
+/// finger each hop takes. That keeps upkeep proportional to what changed: a
+/// membership change costs its splice (or one merge per Republish batch),
+/// and Stabilize is O(1).
 class ChordRing {
  public:
   struct Member {
@@ -39,29 +43,29 @@ class ChordRing {
   /// Removes all entries owned by `node`.
   void Leave(NodeId node);
 
-  /// Bulk-update window for mass re-publish (index refresh, bring-up): the
-  /// sorted membership vector makes each Leave/Join O(members) — quadratic
-  /// when every node re-publishes in one refresh. Between BeginBulk and
-  /// EndBulk the membership lives in an ordered map instead, so the same
-  /// Join/Leave sequence (including duplicate-key perturbation, which only
-  /// asks "does this exact key exist?") costs O(log members) per call and
-  /// produces a bit-identical final membership. Lookups and successor walks
-  /// are invalid inside the window — the ring is stale until the Stabilize
-  /// that follows EndBulk, exactly as after any Join/Leave.
-  void BeginBulk();
-  void EndBulk();
+  /// Mass re-publish (bring-up, index refresh): the membership that calling
+  /// Leave(e.node) then Join(e.key, e.node) for each entry of `batch` in
+  /// order would produce — duplicate-key perturbation included — built in
+  /// O(n + d log d) for d entries over n members instead of d O(n) splices.
+  /// Nodes in `batch` must be distinct. Allocation-free in steady state
+  /// (scratch buffers are reused). A non-empty batch makes the ring stale,
+  /// exactly as Join/Leave do; an empty one leaves it untouched.
+  void Republish(const std::vector<Member>& batch);
 
-  size_t NumMembers() const {
-    return in_bulk_ ? bulk_members_.size() : members_.size();
-  }
+  size_t NumMembers() const { return members_.size(); }
   const std::vector<Member>& members() const { return members_; }
 
-  /// (Re)builds finger tables. Must be called after membership changes and
-  /// before Lookup; Join/Leave mark the tables stale.
-  void Stabilize();
+  /// Marks the ring routable again after membership changes. Join, Leave
+  /// and Republish make Lookup fail until the next Stabilize — the window
+  /// in which a deployed ring's fingers would still point at the old
+  /// membership (message mode bills zero hops for routes issued in it).
+  void Stabilize() { stale_ = false; }
 
   /// Chord-routes from the member owning `origin_key` toward `key`;
-  /// returns successor(key). Requires a stabilized, non-empty ring.
+  /// returns successor(key). Each hop forwards to the closest preceding
+  /// finger — the hops and owners a full 128-entry finger table gives —
+  /// found with one binary search over the members between the hop and
+  /// the key. Requires a stabilized, non-empty ring.
   StatusOr<LookupResult> Lookup(U128 key, U128 origin_key) const;
 
   /// Lookup starting from the first member (deterministic origin).
@@ -73,25 +77,27 @@ class ChordRing {
   const Member& PredecessorAt(size_t member_index, size_t i) const;
 
  private:
-  /// Finger-table entries per member (one per key bit).
-  static constexpr unsigned kFingerBits = 128;
-
   // Sorted by key.
   std::vector<Member> members_;
-  // Bulk-window state: key-sorted membership plus the reverse index Leave
-  // needs (each node holds at most one ring entry — Publish always Leaves
-  // before re-Joining).
-  bool in_bulk_ = false;
-  std::map<U128, NodeId> bulk_members_;
-  std::unordered_map<NodeId, U128> bulk_key_of_;
-  // Flat row-major finger table: fingers_[m * kFingerBits + i] = index of
-  // successor(members_[m].key + 2^i). Kept flat so Stabilize rewrites it in
-  // place without per-member allocations and lookups walk one cache-friendly
-  // row.
-  std::vector<uint32_t> fingers_;
   bool stale_ = false;
 
+  // Republish scratch, reused across calls. batch_pos_[node] is the node's
+  // 1-based position in the current batch (0 = not in it); fresh_ holds the
+  // batch's final entries, and fresh_slots_ is an open-addressing set over
+  // their keys (0 = empty slot, else 1 + index into fresh_).
+  std::vector<uint32_t> batch_pos_;
+  std::vector<Member> fresh_;
+  std::vector<uint32_t> fresh_slots_;
+
   size_t SuccessorIndex(U128 key) const;
+  /// Slot of `key` in the fresh-key set, or the empty slot it would take.
+  size_t FreshSlot(const U128& key) const;
+  size_t BatchPos(NodeId node) const {
+    return node < batch_pos_.size() ? batch_pos_[node] : 0;
+  }
+  /// Republish's existence probe: is `key` a live ring key while entry
+  /// `pos` (1-based) of the batch is being joined?
+  bool KeyLiveDuringBatch(const U128& key, size_t pos) const;
 };
 
 }  // namespace sbon::dht

@@ -21,16 +21,31 @@ bool MatchLess(const IndexMatch& a, const IndexMatch& b) {
 CoordinateIndex::CoordinateIndex(HilbertQuantizer quantizer)
     : quantizer_(std::move(quantizer)), coords_(quantizer_.dims(), 0) {}
 
-void CoordinateIndex::Publish(NodeId node, const Vec& coord) {
+void CoordinateIndex::StoreCoord(NodeId node, const Vec& coord) {
   assert(coord.dims() == quantizer_.dims());
   if (coords_.nodes() <= node) {
     coords_.EnsureNodes(node + 1);
     published_.resize(node + 1, false);
   }
-  if (published_[node]) ring_.Leave(node);
   coords_.SetNode(node, coord);
   published_[node] = true;
+}
+
+void CoordinateIndex::Publish(NodeId node, const Vec& coord) {
+  if (node < published_.size() && published_[node]) ring_.Leave(node);
+  StoreCoord(node, coord);
   ring_.Join(quantizer_.Key(coord), node);
+}
+
+void CoordinateIndex::Republish(const std::vector<NodeId>& nodes,
+                                const CoordBlock& coords) {
+  ring_batch_.clear();
+  for (NodeId node : nodes) {
+    const Vec coord = coords.NodeVec(node);
+    StoreCoord(node, coord);
+    ring_batch_.push_back(ChordRing::Member{quantizer_.Key(coord), node});
+  }
+  ring_.Republish(ring_batch_);
 }
 
 void CoordinateIndex::Withdraw(NodeId node) {

@@ -60,18 +60,17 @@ class CoordinateIndex {
 
   /// Publishes (or republishes) a node's coordinate.
   void Publish(NodeId node, const Vec& coord);
+  /// Publishes each of `nodes` at its coordinate in `coords` (a block
+  /// addressed by node id): the same index as calling Publish on each node
+  /// in order, with one ring merge instead of one splice per node (see
+  /// ChordRing::Republish) — the mass-publish path of bring-up and index
+  /// refresh at every size. Nodes must be distinct.
+  void Republish(const std::vector<NodeId>& nodes, const CoordBlock& coords);
   /// Removes a node from the index.
   void Withdraw(NodeId node);
-  /// Rebuilds routing state; must be called after a batch of
-  /// Publish/Withdraw calls and before queries.
+  /// Makes the ring routable again; must be called after a batch of
+  /// Publish/Republish/Withdraw calls and before queries.
   void Stabilize();
-
-  /// Bulk-update window around mass Publish batches (bring-up, index
-  /// refresh): inside it each Publish costs O(log published) instead of
-  /// O(published), with a bit-identical final ring. Queries are invalid
-  /// until the Stabilize that follows EndBulkUpdate.
-  void BeginBulkUpdate() { ring_.BeginBulk(); }
-  void EndBulkUpdate() { ring_.EndBulk(); }
 
   size_t NumPublished() const { return ring_.NumMembers(); }
 
@@ -132,6 +131,8 @@ class CoordinateIndex {
   // Published coordinates as per-dimension lanes, addressed by node id.
   CoordBlock coords_;
   std::vector<bool> published_;
+  // Republish's (key, node) batch, reused across calls.
+  std::vector<ChordRing::Member> ring_batch_;
 
   // Reusable query scratch (see class comment). `seen_stamp_[node] ==
   // query_epoch_` marks a node examined by the current WithinRadius walk —
@@ -145,6 +146,8 @@ class CoordinateIndex {
   mutable std::vector<DistNode> pair_scratch_;
   mutable std::vector<NodeId> walk_scratch_;
 
+  /// Records `coord` as `node`'s published coordinate (no ring change).
+  void StoreCoord(NodeId node, const Vec& coord);
   double DistanceTo(NodeId n, const Vec& target) const;
   /// Starts a WithinRadius walk: bumps the epoch and sizes the stamps.
   void BeginSeenEpoch() const;

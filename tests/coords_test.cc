@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "coords/cost_space.h"
+#include "coords/manager.h"
 #include "coords/mds.h"
 #include "coords/vivaldi.h"
 #include "coords/weighting.h"
@@ -285,6 +286,49 @@ TEST(EvaluateEmbeddingTest, HandlesTinyInputs) {
   const net::LatencyMatrix lat(topo);
   const EmbeddingError err = EvaluateEmbedding(lat, {Vec{0.0}});
   EXPECT_DOUBLE_EQ(err.median_relative_error, 0.0);
+}
+
+// --------------------------- Index refresh ---------------------------
+
+// Two nodes, one moved by each reason: node 0's Vivaldi coordinate is
+// yanked far from its published spot, node 1 only gets loaded.
+TEST(IndexRefreshTest, AttributesRepublishReasons) {
+  auto topo = net::GenerateLine(2, 10.0);
+  ASSERT_TRUE(topo.ok());
+  const net::LatencyMatrix lat(*topo);
+  CoordinateManager::Params params;
+  params.vivaldi_run.rounds = 4;
+  Rng rng(5);
+  auto built = CoordinateManager::Build(params, lat, &rng);
+  ASSERT_TRUE(built.ok());
+  CoordinateManager& mgr = *built.value();
+  const std::vector<NodeId> nodes = {0, 1};
+  mgr.SetScalarMetrics({0.0, 0.0});
+  mgr.BuildIndex(nodes);
+
+  // Nothing moved: a quiet refresh with no reasons recorded.
+  mgr.RefreshIndex(nodes, 1.0);
+  EXPECT_EQ(mgr.refresh_stats().republished, 0u);
+  EXPECT_EQ(mgr.refresh_stats().quiet_refreshes, 1u);
+
+  // Node 0 measures a 1000 ms RTT to node 1 and springs far away; node 1
+  // stays put in the vector part but goes to full load.
+  const Vec before = mgr.space().VectorCoord(0);
+  mgr.ApplyRemoteSample(0, 1, mgr.space().VectorCoord(1), 1.0, 1000.0);
+  mgr.SyncVectorCoords();
+  ASSERT_GT(mgr.space().VectorCoord(0).DistanceTo(before), 1.0);
+  mgr.SetScalarMetrics({0.0, 1.0});
+
+  mgr.RefreshIndex(nodes, 1.0);
+  const IndexRefreshStats& stats = mgr.refresh_stats();
+  EXPECT_EQ(stats.republished, 2u);
+  EXPECT_EQ(stats.republished_vector, 1u);
+  EXPECT_EQ(stats.republished_scalar, 1u);
+  EXPECT_EQ(stats.skipped, 2u);  // both nodes in the quiet refresh
+  // The index now serves the republished coordinates.
+  auto nearest = mgr.index().Nearest(mgr.space().FullCoord(1));
+  ASSERT_TRUE(nearest.ok());
+  EXPECT_EQ(nearest->node, 1u);
 }
 
 }  // namespace

@@ -259,10 +259,34 @@ TEST(ChordTest, DuplicateKeysPerturbed) {
   EXPECT_NE(ring.members()[0].key, ring.members()[1].key);
 }
 
-// The bulk window is a pure performance mode: any Join/Leave sequence —
-// including duplicate-key perturbation chains and leave-then-rejoin — must
-// land on a membership bitwise identical to the sequential vector path.
-TEST(ChordTest, BulkWindowMatchesSequentialMembership) {
+// Republish is a pure performance path: any batch — duplicate-key
+// perturbation chains, keys freed by owners earlier in the batch and keys
+// still held by owners later in it — must land on a membership bitwise
+// identical to the sequential Leave/Join path.
+TEST(ChordTest, RepublishMatchesSequentialMembership) {
+  // Hand case: node 2 joins key 5 while node 1 (later in the batch) still
+  // holds it, so 2 is perturbed (stride 2*2+1) before 1 moves away.
+  {
+    ChordRing seq, batched;
+    seq.Join(U128::FromU64(5), 1);
+    batched.Join(U128::FromU64(5), 1);
+    seq.Leave(2);
+    seq.Join(U128::FromU64(5), 2);
+    seq.Leave(1);
+    seq.Join(U128::FromU64(7), 1);
+    batched.Republish({{U128::FromU64(5), 2}, {U128::FromU64(7), 1}});
+    ASSERT_EQ(batched.NumMembers(), 2u);
+    EXPECT_EQ(batched.members()[0].key, U128::FromU64(7));
+    EXPECT_EQ(batched.members()[0].node, 1u);
+    EXPECT_EQ(batched.members()[1].key, U128::FromU64(10));
+    EXPECT_EQ(batched.members()[1].node, 2u);
+    ASSERT_EQ(seq.NumMembers(), 2u);
+    for (size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(seq.members()[i].key, batched.members()[i].key);
+      EXPECT_EQ(seq.members()[i].node, batched.members()[i].node);
+    }
+  }
+
   Rng rng(42);
   // Random churn script over a small id space so duplicate keys are common.
   struct Op {
@@ -276,33 +300,205 @@ TEST(ChordTest, BulkWindowMatchesSequentialMembership) {
                         static_cast<uint64_t>(rng.UniformInt(32)),
                         static_cast<NodeId>(rng.UniformInt(64))});
   }
-  ChordRing seq, bulk;
-  bulk.BeginBulk();
+  // The sequential ring replays the script op by op. The batched ring
+  // gathers consecutive joins into Republish batches, flushed on a leave,
+  // a repeated node (batch nodes are distinct) or a random cut.
+  ChordRing seq, batched;
+  std::vector<ChordRing::Member> batch;
+  size_t flushes = 0;
+  auto flush_and_compare = [&] {
+    batched.Republish(batch);
+    batch.clear();
+    ++flushes;
+    ASSERT_EQ(seq.NumMembers(), batched.NumMembers());
+    for (size_t i = 0; i < seq.NumMembers(); ++i) {
+      EXPECT_EQ(seq.members()[i].key, batched.members()[i].key)
+          << "entry " << i << " after flush " << flushes;
+      EXPECT_EQ(seq.members()[i].node, batched.members()[i].node)
+          << "entry " << i << " after flush " << flushes;
+    }
+  };
   for (const Op& op : script) {
-    // A node holds at most one entry (the CoordinateIndex invariant the
-    // bulk path relies on): leave before every join.
+    const bool repeated = std::any_of(
+        batch.begin(), batch.end(),
+        [&](const ChordRing::Member& m) { return m.node == op.node; });
+    if (!op.join || repeated || rng.UniformInt(16) == 0) flush_and_compare();
     if (op.join) {
+      // A node holds at most one entry (the CoordinateIndex invariant):
+      // leave before every join.
       seq.Leave(op.node);
       seq.Join(U128::FromU64(op.key), op.node);
-      bulk.Leave(op.node);
-      bulk.Join(U128::FromU64(op.key), op.node);
+      batch.push_back(ChordRing::Member{U128::FromU64(op.key), op.node});
     } else {
       seq.Leave(op.node);
-      bulk.Leave(op.node);
+      batched.Leave(op.node);
     }
   }
-  bulk.EndBulk();
-  ASSERT_EQ(seq.NumMembers(), bulk.NumMembers());
-  for (size_t i = 0; i < seq.NumMembers(); ++i) {
-    EXPECT_EQ(seq.members()[i].key, bulk.members()[i].key) << "entry " << i;
-    EXPECT_EQ(seq.members()[i].node, bulk.members()[i].node) << "entry " << i;
+  flush_and_compare();
+  EXPECT_GT(flushes, 20u);
+  // An empty batch is a no-op.
+  batched.Republish({});
+  EXPECT_EQ(seq.NumMembers(), batched.NumMembers());
+}
+
+TEST(ChordTest, StaleRingRefusesLookup) {
+  ChordRing ring;
+  ring.Join(U128::FromU64(10), 1);
+  EXPECT_FALSE(ring.Lookup(U128::FromU64(10)).ok()) << "after Join";
+  ring.Stabilize();
+  EXPECT_TRUE(ring.Lookup(U128::FromU64(10)).ok());
+
+  ring.Join(U128::FromU64(20), 2);
+  ring.Stabilize();
+  ring.Leave(2);
+  EXPECT_FALSE(ring.Lookup(U128::FromU64(10)).ok()) << "after Leave";
+  ring.Stabilize();
+  EXPECT_TRUE(ring.Lookup(U128::FromU64(10)).ok());
+
+  ring.Republish({{U128::FromU64(30), 3}});
+  EXPECT_FALSE(ring.Lookup(U128::FromU64(10)).ok()) << "after Republish";
+  ring.Stabilize();
+  auto r = ring.Lookup(U128::FromU64(25));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->node, 3u);
+
+  // An empty batch changes nothing, so the ring stays routable.
+  ring.Republish({});
+  EXPECT_TRUE(ring.Lookup(U128::FromU64(10)).ok()) << "after empty batch";
+}
+
+// The finger-table router ChordRing used before fingers were computed on
+// demand, kept as the reference: 128 fingers per member, finger i =
+// successor(key + 2^i), and a closest-preceding-finger scan from the top
+// bit on every hop.
+class TableRouter {
+ public:
+  static constexpr unsigned kFingerBits = 128;
+
+  explicit TableRouter(const std::vector<ChordRing::Member>& members)
+      : members_(members), fingers_(members.size() * kFingerBits) {
+    for (size_t m = 0; m < members_.size(); ++m) {
+      for (unsigned i = 0; i < kFingerBits; ++i) {
+        fingers_[m * kFingerBits + i] =
+            SuccessorIndex(members_[m].key + PowerOfTwo(i));
+      }
+    }
   }
-  // Idempotent re-entry and empty windows are no-ops.
-  bulk.BeginBulk();
-  bulk.BeginBulk();
-  bulk.EndBulk();
-  bulk.EndBulk();
-  EXPECT_EQ(seq.NumMembers(), bulk.NumMembers());
+
+  ChordRing::LookupResult Lookup(U128 key, U128 origin_key) const {
+    size_t cur = SuccessorIndex(origin_key);
+    size_t hops = 0;
+    const size_t n = members_.size();
+    const size_t target_idx = SuccessorIndex(key);
+    while (cur != target_idx) {
+      const U128& cur_key = members_[cur].key;
+      const size_t succ = (cur + 1) % n;
+      if (InOpenClosed(key, cur_key, members_[succ].key)) {
+        cur = succ;
+        ++hops;
+        break;
+      }
+      size_t next = succ;
+      for (unsigned i = kFingerBits; i-- > 0;) {
+        const size_t f = fingers_[cur * kFingerBits + i];
+        const U128& fkey = members_[f].key;
+        if (f != cur && InOpenClosed(fkey, cur_key, key) && fkey != key) {
+          next = f;
+          break;
+        }
+      }
+      cur = next == cur ? succ : next;
+      ++hops;
+      if (hops > n + 130) break;
+    }
+    ChordRing::LookupResult r;
+    r.node = members_[cur].node;
+    r.key = members_[cur].key;
+    r.hops = hops;
+    r.member_index = cur;
+    return r;
+  }
+
+ private:
+  static bool InOpenClosed(const U128& x, const U128& a, const U128& b) {
+    if (x == a) return false;
+    return (x - a) <= (b - a);
+  }
+  size_t SuccessorIndex(const U128& key) const {
+    const auto it = std::lower_bound(
+        members_.begin(), members_.end(), key,
+        [](const ChordRing::Member& m, const U128& k) { return m.key < k; });
+    if (it == members_.end()) return 0;
+    return static_cast<size_t>(it - members_.begin());
+  }
+
+  std::vector<ChordRing::Member> members_;
+  std::vector<size_t> fingers_;
+};
+
+// On-demand fingers must route exactly like the stored table: same owner,
+// key, hop count and member index for every (key, origin) pair.
+TEST(ChordTest, OnDemandRoutingMatchesFingerTableRouter) {
+  enum class KeySpace { kFullRange, kHilbert30, kCollidingHilbert };
+  constexpr uint64_t kHilbertMask = (1ULL << 30) - 1;
+  for (size_t n : {1, 2, 3, 64, 512}) {
+    for (KeySpace space : {KeySpace::kFullRange, KeySpace::kHilbert30,
+                           KeySpace::kCollidingHilbert}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " space="
+                                        << static_cast<int>(space));
+      Rng rng(1000 + n * 3 + static_cast<uint64_t>(space));
+      auto draw = [&]() -> U128 {
+        switch (space) {
+          case KeySpace::kFullRange:
+            return HashU64(rng.Next());
+          case KeySpace::kHilbert30:
+            return U128::FromU64(rng.Next() & kHilbertMask);
+          case KeySpace::kCollidingHilbert:
+            // ~n/4 distinct cells: most joins collide and get perturbed.
+            return U128::FromU64(rng.UniformInt(std::max<size_t>(1, n / 4))
+                                 << 20);
+        }
+        return U128();
+      };
+      ChordRing ring;
+      for (size_t i = 0; i < n; ++i) {
+        ring.Join(draw(), static_cast<NodeId>(i));
+      }
+      ring.Stabilize();
+      ASSERT_EQ(ring.NumMembers(), n);
+      if (space == KeySpace::kCollidingHilbert && n >= 64) {
+        // Perturbation moved keys off the 2^20 grid.
+        EXPECT_TRUE(std::any_of(ring.members().begin(), ring.members().end(),
+                                [](const ChordRing::Member& m) {
+                                  return (m.key.lo & ((1ULL << 20) - 1)) != 0;
+                                }));
+      }
+      const TableRouter reference(ring.members());
+      const U128 max_key = ring.members().back().key;
+      std::vector<std::pair<U128, U128>> queries;  // (key, origin)
+      for (int rep = 0; rep < 300; ++rep) {
+        queries.emplace_back(draw(), draw());
+        queries.emplace_back(draw(), HashU64(rng.Next()));
+      }
+      // Origins past the largest member wrap to member 0; keys behind the
+      // origin route the long way round.
+      for (const ChordRing::Member& m : ring.members()) {
+        queries.emplace_back(m.key, max_key + U128::FromU64(1));
+        queries.emplace_back(m.key, U128::Max());
+        queries.emplace_back(m.key - U128::FromU64(1), m.key);
+        queries.emplace_back(m.key, m.key + U128::FromU64(1));
+      }
+      for (const auto& [key, origin] : queries) {
+        auto got = ring.Lookup(key, origin);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        const ChordRing::LookupResult want = reference.Lookup(key, origin);
+        ASSERT_EQ(got->node, want.node);
+        ASSERT_EQ(got->key, want.key);
+        ASSERT_EQ(got->hops, want.hops);
+        ASSERT_EQ(got->member_index, want.member_index);
+      }
+    }
+  }
 }
 
 class ChordPropertyTest : public ::testing::TestWithParam<size_t> {};

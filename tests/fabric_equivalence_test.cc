@@ -36,6 +36,12 @@ namespace {
 size_t g_max_alloc_size = 0;
 }  // namespace
 
+// gcc pairs the malloc/free inside these replacements with the inlined
+// callers' new/delete and reports a spurious mismatch once container
+// construction inlines far enough; the replacement set is complete and
+// consistent, so the warning is suppressed for these definitions.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void* operator new(std::size_t size) {
   if (size > g_max_alloc_size) g_max_alloc_size = size;
   void* p = std::malloc(size ? size : 1);
@@ -47,6 +53,7 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace sbon::test {
 namespace {
